@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,15 @@ def zeta_partial(s: float, n: int) -> PartialSum:
     return PartialSum(n, _kahan(k ** -s for k in range(1, n + 1)))
 
 
-def zeta_partial_table(s: float, n_values: Sequence[int]) -> list[PartialSum]:
-    """``zeta_partial`` at several term counts, sharing one accumulation pass.
-
-    Each returned value is bit-identical to the corresponding scalar call.
-    """
-    if not s > 1.0:
-        raise ValueError(f"s must be > 1, got {s}")
+def _partial_table(term: Callable[[int], float], n_values: Sequence[int]) -> list[PartialSum]:
+    """Kahan sums of ``term(k)`` for k = 1..n at each n in ``n_values``, from one
+    running pass; each value is bit-identical to the scalar sum of n terms."""
     if not n_values:
         raise ValueError("n_values must be non-empty")
     targets = sorted(set(n_values))
     _require_count(targets[0])
     wanted = {}
-    running = _kahan_running(k ** -s for k in range(1, targets[-1] + 1))
+    running = _kahan_running(term(k) for k in range(1, targets[-1] + 1))
     target_iter = iter(targets)
     next_target = next(target_iter)
     for n, value in enumerate(running, start=1):
@@ -115,6 +111,16 @@ def zeta_partial_table(s: float, n_values: Sequence[int]) -> list[PartialSum]:
             if next_target is None:
                 break
     return [PartialSum(n, wanted[n]) for n in n_values]
+
+
+def zeta_partial_table(s: float, n_values: Sequence[int]) -> list[PartialSum]:
+    """``zeta_partial`` at several term counts, sharing one accumulation pass.
+
+    Each returned value is bit-identical to the corresponding scalar call.
+    """
+    if not s > 1.0:
+        raise ValueError(f"s must be > 1, got {s}")
+    return _partial_table(lambda k: k ** -s, n_values)
 
 
 def zeta2_tail_bounds(n: int) -> tuple[float, float]:
@@ -137,21 +143,7 @@ def triangular_partial(n: int) -> PartialSum:
 
 def triangular_partial_table(n_values: Sequence[int]) -> list[PartialSum]:
     """``triangular_partial`` at several term counts in one accumulation pass."""
-    if not n_values:
-        raise ValueError("n_values must be non-empty")
-    targets = sorted(set(n_values))
-    _require_count(targets[0])
-    wanted = {}
-    running = _kahan_running(2.0 / (k * (k + 1)) for k in range(1, targets[-1] + 1))
-    target_iter = iter(targets)
-    next_target = next(target_iter)
-    for n, value in enumerate(running, start=1):
-        if n == next_target:
-            wanted[n] = value
-            next_target = next(target_iter, None)
-            if next_target is None:
-                break
-    return [PartialSum(n, wanted[n]) for n in n_values]
+    return _partial_table(lambda k: 2.0 / (k * (k + 1)), n_values)
 
 
 def odd_squares_partial(n: int) -> PartialSum:

@@ -2,19 +2,19 @@
 
 A path is X(t) = sum_{j<=J} lambda_j^(-1/2) f_j(t) Z_ij with independent
 standard normal Z_ij.  Normal variates come from Box-Muller over per-path
-Philox counter-based streams keyed by (seed, path index), so the ensemble is
-bit-reproducible regardless of execution order or worker count.  Statistical
-checks compare empirical covariances against the truncated target
-sum_{j<=J} f_j(s) f_j(t) / lambda_j, which isolates Monte Carlo error from
-truncation bias.
+Philox counter-based streams keyed by (seed, path index), so a path's normals
+do not depend on the ensemble size or on the block that holds it.  Paths are
+projected in fixed blocks of ``_BLOCK_PATHS``, because BLAS may round a row
+differently in a matmul of another shape; identical configs therefore give
+identical bytes.  Statistical checks compare empirical covariances against the
+truncated target sum_{j<=J} f_j(s) f_j(t) / lambda_j, which isolates Monte
+Carlo error from truncation bias.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,20 +85,6 @@ class CovarianceTestReport:
     message: str
 
 
-def _worker_count() -> int:
-    """Worker cap from KLX_THREADS; all cores when unset."""
-    raw = os.environ.get("KLX_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"KLX_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"KLX_THREADS must be >= 1, got {count}")
-    return count
-
-
 def _path_normals(seed: int, path_index: int, count: int) -> np.ndarray:
     """Standard normals for one path from its own counter-based stream.
 
@@ -124,24 +110,12 @@ def sample_paths(config: SimulationConfig) -> PathEnsemble:
     basis = eigenfunction_matrix(config.kind, j_max, config.grid)
     basis = basis / np.sqrt(eigenvalues(config.kind, j_max))[:, None]
     values = np.empty((config.n_paths, config.grid.size))
-
-    def fill_block(start: int, stop: int) -> None:
+    for start in range(0, config.n_paths, _BLOCK_PATHS):
+        stop = min(start + _BLOCK_PATHS, config.n_paths)
         z = np.empty((stop - start, j_max))
         for i in range(start, stop):
             z[i - start] = _path_normals(config.seed, i, j_max)
         values[start:stop] = z @ basis
-
-    blocks = [
-        (start, min(start + _BLOCK_PATHS, config.n_paths))
-        for start in range(0, config.n_paths, _BLOCK_PATHS)
-    ]
-    workers = min(_worker_count(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda block: fill_block(*block), blocks))
-    else:
-        for block in blocks:
-            fill_block(*block)
 
     if not np.isfinite(values).all():
         raise RuntimeError("simulation produced non-finite values")
@@ -277,7 +251,10 @@ def read_klx1(path: str) -> np.ndarray:
         magic = handle.read(4)
         if magic != KLX1_MAGIC:
             raise ValueError(f"not a KLX1 file: bad magic {magic!r}")
-        n_paths, n_grid = struct.unpack("<QQ", handle.read(16))
+        header = handle.read(16)
+        if len(header) != 16:
+            raise ValueError("truncated KLX1 header: expected 16 bytes of dimensions")
+        n_paths, n_grid = struct.unpack("<QQ", header)
         data = np.frombuffer(handle.read(), dtype="<f8")
     if data.size != n_paths * n_grid:
         raise ValueError("KLX1 payload size does not match header dimensions")
