@@ -115,8 +115,9 @@ def _cmd_simulate(args) -> int:
         grid=np.linspace(0.0, 1.0, args.grid_points),
         seed=args.seed,
     )
+    ensemble = sample_paths(config)
+    report = covariance_test(ensemble, pair_count=args.pairs, z_threshold=args.z_threshold)
     if args.out:
-        ensemble = sample_paths(config)
         out_format = args.out_format
         if out_format == "auto":
             out_format = "csv" if args.out.endswith(".csv") else "klx1"
@@ -127,7 +128,6 @@ def _cmd_simulate(args) -> int:
                 write_ensemble_klx1(ensemble, args.out)
         except OSError as exc:
             raise ValueError(f"cannot write output file {args.out!r}: {exc}") from exc
-    report = covariance_test(config, pair_count=args.pairs, z_threshold=args.z_threshold)
     rows = tuple(
         (c.s, c.t, c.empirical, c.truncated_target, c.stderr, c.z_score) for c in report.checks
     )
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RuntimeError as exc:

@@ -3,7 +3,10 @@
 A path is X(t) = sum_{j<=J} lambda_j^(-1/2) f_j(t) Z_ij with independent
 standard normal Z_ij.  Normal variates come from Box-Muller over per-path
 Philox counter-based streams keyed by (seed, path index), so a path's normals
-do not depend on the ensemble size or on the block that holds it.  Paths are
+do not depend on the ensemble size or on the block that holds it.  Each
+path's stream comes from one generator per ensemble, re-keyed before the
+path: Philox output depends only on its key and counter, so this draws the
+same bytes as a fresh generator per path without building one.  Paths are
 projected in fixed blocks of ``_BLOCK_PATHS``, because BLAS may round a row
 differently in a matmul of another shape; identical configs therefore give
 identical bytes.  Statistical checks compare empirical covariances against the
@@ -13,8 +16,12 @@ Carlo error from truncation bias.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import secrets
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +92,35 @@ class CovarianceTestReport:
     message: str
 
 
-def _path_normals(seed: int, path_index: int, count: int) -> np.ndarray:
-    """Standard normals for one path from its own counter-based stream.
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
-    Stream key is derived from (seed, path index); the position within the
-    stream indexes the expansion term.  Box-Muller on uniforms mapped into
-    (0, 1] so the log never sees zero.
+
+def _rekey(gen: np.random.Generator, seed: int, path_index: int) -> None:
+    """Point gen at the start of one path's stream.
+
+    The key is seed * 2**64 + 2 * path_index as (low, high) words; the counter
+    restarts at zero and the buffer is emptied, so no draw from the previous
+    path leaks into this one.
     """
-    key = seed * _MAX_SEED + 2 * path_index
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": _ZERO_WORDS,
+            "key": np.array([2 * path_index, seed], dtype=np.uint64),
+        },
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _path_normals(gen: np.random.Generator, count: int) -> np.ndarray:
+    """Standard normals for one path from the stream gen was re-keyed to.
+
+    The position within the stream indexes the expansion term.  Box-Muller on
+    uniforms mapped into (0, 1] so the log never sees zero.
+    """
     pairs = (count + 1) // 2
     u = gen.random(2 * pairs)
     radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
@@ -110,11 +137,13 @@ def sample_paths(config: SimulationConfig) -> PathEnsemble:
     basis = eigenfunction_matrix(config.kind, j_max, config.grid)
     basis = basis / np.sqrt(eigenvalues(config.kind, j_max))[:, None]
     values = np.empty((config.n_paths, config.grid.size))
+    gen = np.random.Generator(np.random.Philox(key=0))
     for start in range(0, config.n_paths, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, config.n_paths)
         z = np.empty((stop - start, j_max))
         for i in range(start, stop):
-            z[i - start] = _path_normals(config.seed, i, j_max)
+            _rekey(gen, config.seed, i)
+            z[i - start] = _path_normals(gen, j_max)
         values[start:stop] = z @ basis
 
     if not np.isfinite(values).all():
@@ -170,12 +199,12 @@ def _allowed_exceedances(pair_count: int, z_threshold: float) -> int:
 
 
 def covariance_test(
-    config: SimulationConfig,
+    ensemble: PathEnsemble,
     pair_count: int,
     z_threshold: float,
     target_kind: KernelKind | None = None,
 ) -> CovarianceTestReport:
-    """Simulate the ensemble and z-test covariances at random grid pairs.
+    """Z-test the ensemble's covariances at random grid pairs.
 
     Pairs are drawn (deterministically from the seed) among grid columns with
     nonzero spread; columns where every eigenfunction vanishes, such as the
@@ -185,9 +214,9 @@ def covariance_test(
     """
     if pair_count < 1:
         raise ValueError(f"pair_count must be >= 1, got {pair_count}")
-    if not z_threshold > 0.0:
-        raise ValueError(f"z_threshold must be > 0, got {z_threshold}")
-    ensemble = sample_paths(config)
+    if not (math.isfinite(z_threshold) and z_threshold > 0.0):
+        raise ValueError(f"z_threshold must be finite and > 0, got {z_threshold}")
+    config = ensemble.config
     target = config.kind if target_kind is None else target_kind
     usable = np.flatnonzero(ensemble.values.std(axis=0) > 0.0)
     if usable.size == 0:
@@ -227,22 +256,39 @@ def covariance_test(
     )
 
 
+def _write_atomically(path: str, chunks: Iterable[bytes]) -> None:
+    """Write chunks to a temp file beside path, then rename it into place.
+
+    On any exception the temp file is removed and a file already at path is
+    left as it was, so a failed export never leaves a partial file.
+    """
+    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_ensemble_csv(ensemble: PathEnsemble, path: str) -> None:
     """CSV export: header row holds the grid, then one row per path."""
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(f"{g:.17g}" for g in ensemble.config.grid) + "\n")
-        for row in ensemble.values:
-            handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    rows = itertools.chain([ensemble.config.grid], ensemble.values)
+    _write_atomically(path, ((",".join(f"{x:.17g}" for x in row) + "\n").encode() for row in rows))
 
 
 def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:
     """Binary export: magic "KLX1", two little-endian uint64 dims (paths,
     grid points), then the row-major little-endian float64 matrix."""
     values = ensemble.values
-    with open(path, "wb") as handle:
-        handle.write(KLX1_MAGIC)
-        handle.write(struct.pack("<QQ", values.shape[0], values.shape[1]))
-        handle.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    _write_atomically(path, [
+        KLX1_MAGIC,
+        struct.pack("<QQ", values.shape[0], values.shape[1]),
+        np.ascontiguousarray(values, dtype="<f8").tobytes(),
+    ])
 
 
 def read_klx1(path: str) -> np.ndarray:

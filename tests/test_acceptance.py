@@ -23,6 +23,7 @@ from klx import (
     eigenfunction_matrix,
     estermann_residual,
     mercer_partial,
+    sample_paths,
     triangular_closed_form,
     triangular_partial_table,
     zeta2_tail_bounds,
@@ -150,8 +151,9 @@ def test_c08_monte_carlo_covariance():
         seed=7,
     )
     start = time.perf_counter()
-    positive = covariance_test(config, pair_count=50, z_threshold=4.0)
-    negative = covariance_test(config, pair_count=50, z_threshold=4.0,
+    ensemble = sample_paths(config)
+    positive = covariance_test(ensemble, pair_count=50, z_threshold=4.0)
+    negative = covariance_test(ensemble, pair_count=50, z_threshold=4.0,
                                target_kind=KernelKind.BRIDGE)
     elapsed = time.perf_counter() - start
     ok = positive.passed and not negative.passed and elapsed < 120.0

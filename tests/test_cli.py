@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+import klx.cli
 from klx.cli import main
 
 
@@ -153,6 +154,41 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--kind", "wiener", "--J", "10",
                          "--M", "16", "--grid-points", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("with_out", [False, True], ids=["no-out", "out"])
+    def test_simulates_once(self, capsys, tmp_path, monkeypatch, with_out):
+        calls = []
+        sample_paths = klx.cli.sample_paths
+
+        def counted(config):
+            calls.append(config)
+            return sample_paths(config)
+
+        monkeypatch.setattr(klx.cli, "sample_paths", counted)
+        out = ["--out", str(tmp_path / "paths.klx")] if with_out else []
+        code, _, _ = run(capsys, "simulate", "--kind", "wiener", "--J", "20", "--M", "64",
+                         "--grid-points", "5", "--pairs", "5", *out)
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("threshold", ["inf", "nan", "0"])
+    def test_bad_z_threshold_exits_2_without_output(self, capsys, tmp_path, threshold):
+        out = tmp_path / "paths.klx"
+        code, _, err = run(capsys, "simulate", "--kind", "wiener", "--J", "10", "--M", "16",
+                           "--grid-points", "3", "--z-threshold", threshold,
+                           "--out", str(out))
+        assert code == 2
+        assert "z_threshold" in err
+        assert not out.exists()
+
+    # numpy refuses both sizes up front (364 TiB and 72.8 TiB), so nothing is allocated.
+    @pytest.mark.parametrize("j, m", [("4", "10000000000000"), ("10000000000000", "100")],
+                             ids=["huge-M", "huge-J"])
+    def test_impossible_allocation_exits_2(self, capsys, j, m):
+        code, _, err = run(capsys, "simulate", "--kind", "wiener", "--J", j, "--M", m,
+                           "--grid-points", "5")
+        assert code == 2
+        assert err.startswith("error: ") and "allocate" in err
 
     def test_unwritable_out_path_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--kind", "wiener", "--J", "10",

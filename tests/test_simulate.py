@@ -4,6 +4,8 @@ Heavy statistical runs live in the acceptance suite; here the ensembles are
 kept small enough to run in seconds while still exercising every contract.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -21,6 +23,7 @@ from klx import (
     write_ensemble_csv,
     write_ensemble_klx1,
 )
+from klx.simulate import PathEnsemble, _rekey, _write_atomically
 
 
 def config(kind=KernelKind.WIENER, truncation=64, n_paths=512, grid=None, seed=42):
@@ -89,6 +92,18 @@ class TestSampling:
         blocked = [sample_paths(cfg).values for cfg in (exact, summed)]
         assert np.array_equal(whole[0], blocked[0])
         np.testing.assert_allclose(blocked[1], whole[1], rtol=0.0, atol=1e-14)
+
+    def test_rekeyed_stream_matches_fresh_generator(self):
+        # One generator serves every draw, so a buffer left over from the
+        # previous path would leak into the next one.
+        gen = np.random.Generator(np.random.Philox(key=0))
+        for seed in (0, 7, 2**64 - 1):
+            for path_index in (0, 1, 12345):
+                for count in (1, 2, 3, 5, 64, 2000):
+                    _rekey(gen, seed, path_index)
+                    fresh = np.random.Generator(np.random.Philox(key=seed * 2**64 + 2 * path_index))
+                    assert np.array_equal(gen.random(count), fresh.random(count)), (
+                        seed, path_index, count)
 
     def test_paths_are_prefix_stable_in_path_count(self):
         # per-path streams: growing the ensemble must not change earlier paths
@@ -172,14 +187,14 @@ class TestCovarianceTest:
     def test_passes_on_matching_kernel(self):
         cfg = config(kind=KernelKind.DEMEANED, truncation=200, n_paths=20000,
                      grid=np.linspace(0.0, 1.0, 11), seed=9)
-        report = covariance_test(cfg, pair_count=50, z_threshold=4.0)
+        report = covariance_test(sample_paths(cfg), pair_count=50, z_threshold=4.0)
         assert report.passed and not report.skipped
         assert report.exceedances <= report.allowed_exceedances
         assert len(report.checks) == 50
 
     def test_negative_control_fails(self):
         cfg = config(truncation=200, n_paths=20000, grid=np.linspace(0.0, 1.0, 11), seed=9)
-        report = covariance_test(cfg, pair_count=50, z_threshold=4.0,
+        report = covariance_test(sample_paths(cfg), pair_count=50, z_threshold=4.0,
                                  target_kind=KernelKind.BRIDGE)
         assert not report.passed
         assert report.exceedances > report.allowed_exceedances
@@ -187,31 +202,34 @@ class TestCovarianceTest:
     def test_degenerate_columns_excluded_from_sampling(self):
         # Wiener at t=0 is degenerate; the test must still run on the rest
         cfg = config(truncation=64, n_paths=2000, grid=np.linspace(0.0, 1.0, 5), seed=1)
-        report = covariance_test(cfg, pair_count=20, z_threshold=4.0)
+        report = covariance_test(sample_paths(cfg), pair_count=20, z_threshold=4.0)
         assert not report.skipped
         assert all(c.s > 0.0 and c.t > 0.0 for c in report.checks)
 
     def test_all_degenerate_grid_skips(self):
         cfg = config(kind=KernelKind.BRIDGE, grid=np.array([0.0, 1.0]))
-        report = covariance_test(cfg, pair_count=10, z_threshold=4.0)
+        report = covariance_test(sample_paths(cfg), pair_count=10, z_threshold=4.0)
         assert report.skipped and report.passed
         assert report.checks == ()
 
     def test_tiny_ensemble_runs_low_power(self):
         cfg = config(n_paths=2, grid=np.array([0.5, 1.0]), truncation=8)
-        report = covariance_test(cfg, pair_count=5, z_threshold=4.0)
+        report = covariance_test(sample_paths(cfg), pair_count=5, z_threshold=4.0)
         assert report.passed
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            covariance_test(config(), pair_count=0, z_threshold=4.0)
+            covariance_test(sample_paths(config()), pair_count=0, z_threshold=4.0)
         with pytest.raises(ValueError):
-            covariance_test(config(), pair_count=5, z_threshold=0.0)
+            covariance_test(sample_paths(config()), pair_count=5, z_threshold=0.0)
+        # An infinite threshold can never be exceeded, so the test could never fail.
+        with pytest.raises(ValueError, match="finite"):
+            covariance_test(sample_paths(config()), pair_count=5, z_threshold=math.inf)
 
     def test_deterministic_pair_sampling(self):
         cfg = config(truncation=32, n_paths=500, seed=12)
-        a = covariance_test(cfg, pair_count=10, z_threshold=4.0)
-        b = covariance_test(cfg, pair_count=10, z_threshold=4.0)
+        a = covariance_test(sample_paths(cfg), pair_count=10, z_threshold=4.0)
+        b = covariance_test(sample_paths(cfg), pair_count=10, z_threshold=4.0)
         assert [(c.s, c.t) for c in a.checks] == [(c.s, c.t) for c in b.checks]
 
 
@@ -239,6 +257,45 @@ class TestSerialization:
         path.write_bytes(raw)
         with pytest.raises(ValueError):
             read_klx1(str(path))
+
+    @pytest.mark.parametrize("existing", [None, b"old contents"], ids=["absent", "existing"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, existing):
+        path = tmp_path / "paths.bin"
+        if existing is not None:
+            path.write_bytes(existing)
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("disk on fire")
+
+        with pytest.raises(RuntimeError):
+            _write_atomically(str(path), chunks())
+        assert os.listdir(tmp_path) == ([] if existing is None else ["paths.bin"])
+        if existing is not None:
+            assert path.read_bytes() == existing
+
+    def test_failed_csv_export_keeps_existing_file(self, tmp_path):
+        cfg = config(n_paths=3, grid=np.linspace(0.0, 1.0, 4))
+        rows = sample_paths(cfg).values
+
+        def failing_rows():
+            yield rows[0]
+            raise RuntimeError("row formatting failed")
+
+        path = tmp_path / "paths.csv"
+        path.write_text("previous export\n")
+        with pytest.raises(RuntimeError):
+            write_ensemble_csv(PathEnsemble(config=cfg, values=failing_rows()), str(path))
+        assert os.listdir(tmp_path) == ["paths.csv"]
+        assert path.read_text() == "previous export\n"
+
+    def test_write_replaces_existing_file(self, tmp_path):
+        ensemble = sample_paths(config(n_paths=5, grid=np.linspace(0.0, 1.0, 3)))
+        path = tmp_path / "paths.klx"
+        path.write_bytes(b"stale")
+        write_ensemble_klx1(ensemble, str(path))
+        assert os.listdir(tmp_path) == ["paths.klx"]
+        assert np.array_equal(read_klx1(str(path)), ensemble.values)
 
     def test_csv_header_is_grid(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 4)
