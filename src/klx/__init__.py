@@ -9,13 +9,11 @@ reproducible Monte Carlo simulation of truncated expansions.
 
 from .eigen import (
     BesselRoot,
-    EigenPair,
     bessel_root,
     bessel_roots,
     capital_lambda,
     eigenfunction,
     eigenfunction_matrix,
-    eigenpair,
     eigenvalue,
     eigenvalues,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "CovarianceCheck",
     "CovarianceTestReport",
     "EIGENVALUE_RTOL",
-    "EigenPair",
     "GramMatrix",
     "KLX1_MAGIC",
     "KernelKind",
@@ -101,7 +98,6 @@ __all__ = [
     "covariance_test",
     "eigenfunction",
     "eigenfunction_matrix",
-    "eigenpair",
     "eigenvalue",
     "eigenvalues",
     "empirical_covariance",

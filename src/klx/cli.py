@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import series
-from .eigen import eigenfunction, eigenvalue
+from .eigen import eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind
 from .mercer import PROOF_IDS, ZETA2, proof_report
 from .nystrom import EIGENVALUE_RTOL, compare_eigenpairs
@@ -65,22 +65,16 @@ def _cmd_eigen(args) -> int:
     kind = KernelKind.parse(args.kind)
     if args.j_max < 1:
         raise ValueError("--j-max must be >= 1")
+    lam = eigenvalues(kind, args.j_max)
+    f = eigenfunction_matrix(kind, args.j_max, [0.0, 0.5, 1.0])
     rows = []
     for j in range(1, args.j_max + 1):
         if kind is KernelKind.DETRENDED:
             branch = "odd" if j % 2 == 1 else "even"
         else:
             branch = "-"
-        rows.append(
-            (
-                j,
-                eigenvalue(kind, j),
-                branch,
-                eigenfunction(kind, j, 0.0),
-                eigenfunction(kind, j, 0.5),
-                eigenfunction(kind, j, 1.0),
-            )
-        )
+        f_at_0, f_at_half, f_at_1 = (float(v) for v in f[j - 1])
+        rows.append((j, float(lam[j - 1]), branch, f_at_0, f_at_half, f_at_1))
     table = Table(("j", "lambda", "branch", "f_at_0", "f_at_half", "f_at_1"), tuple(rows))
     _emit(table, args.format)
     return 0
@@ -149,37 +143,24 @@ def _cmd_simulate(args) -> int:
     return 0 if report.passed else 1
 
 
-_SERIES_LIMITS = {
-    "zeta": math.pi**2 / 6.0,
-    "triangular": 2.0,
-    "odd": math.pi**2 / 8.0,
-    "leibniz": math.pi / 4.0,
-    "estermann": 0.0,
-    "bernoulli": math.pi**2 / 16.0,
+#: --which name -> (value at index n, reference limit).
+_SERIES = {
+    "zeta": (lambda n: series.zeta_partial(2.0, n).value, math.pi**2 / 6.0),
+    "triangular": (lambda n: series.triangular_partial(n).value, 2.0),
+    "odd": (lambda n: series.odd_squares_partial(n).value, math.pi**2 / 8.0),
+    "leibniz": (lambda n: series.leibniz_partial(n).value, math.pi / 4.0),
+    "estermann": (lambda n: series.estermann_residual(n).residual, 0.0),
+    "bernoulli": (lambda n: series.bernoulli_residual(n).residual, math.pi**2 / 16.0),
 }
-
-
-def _series_value(which: str, n: int) -> float:
-    if which == "zeta":
-        return series.zeta_partial(2.0, n).value
-    if which == "triangular":
-        return series.triangular_partial(n).value
-    if which == "odd":
-        return series.odd_squares_partial(n).value
-    if which == "leibniz":
-        return series.leibniz_partial(n).value
-    if which == "estermann":
-        return series.estermann_residual(n).residual
-    return series.bernoulli_residual(n).residual
 
 
 def _cmd_series(args) -> int:
     if not args.N:
         raise ValueError("--N must list at least one index")
-    limit = _SERIES_LIMITS[args.which]
+    value_at, limit = _SERIES[args.which]
     rows = []
     for n in args.N:
-        value = _series_value(args.which, n)
+        value = value_at(n)
         rows.append((args.which, n, value, limit, value - limit))
     table = Table(("series", "N", "value", "reference_limit", "distance"), tuple(rows))
     _emit(table, args.format)
@@ -227,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("series", help="classical partial-sum tables")
-    p.add_argument("--which", choices=sorted(_SERIES_LIMITS), required=True)
+    p.add_argument("--which", choices=sorted(_SERIES), required=True)
     p.add_argument("--N", type=_int_list, required=True)
     p.add_argument("--format", choices=_FORMATS, default="pretty")
     p.set_defaults(func=_cmd_series)

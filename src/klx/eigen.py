@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,6 +50,17 @@ def _sinpi(x: np.ndarray) -> np.ndarray:
 def _cospi(x: np.ndarray) -> np.ndarray:
     """cos(pi * x) via the shifted sine, keeping the exact special values."""
     return _sinpi(x + 0.5)
+
+
+#: Frequency offset a and factor trig(x) = sin(pi x) or cos(pi x) per kind:
+#: lambda_j = ((j + a) pi)^2 and f_j(t) = sqrt(2) trig((j + a) t).  The even
+#: detrended indices are overwritten from the Bessel roots.
+_SPECTRA = {
+    KernelKind.WIENER: (-0.5, _sinpi),
+    KernelKind.DEMEANED: (0.0, _cospi),
+    KernelKind.BRIDGE: (0.0, _sinpi),
+    KernelKind.DETRENDED: (1.0, _cospi),
+}
 
 
 @dataclass(frozen=True)
@@ -116,22 +126,11 @@ def _require_j(j: int) -> None:
 def eigenvalues(kind: KernelKind, j_max: int) -> np.ndarray:
     """Eigenvalues for indices 1..j_max, strictly increasing."""
     _require_j(j_max)
-    j = np.arange(1, j_max + 1, dtype=float)
-    if kind is KernelKind.WIENER:
-        return (j - 0.5) ** 2 * PI_SQUARED
-    if kind in (KernelKind.DEMEANED, KernelKind.BRIDGE):
-        return j**2 * PI_SQUARED
-    if kind is KernelKind.DETRENDED:
-        ints = np.arange(1, j_max + 1)
-        odd = ints % 2 == 1
-        lam = np.empty(j_max)
-        lam[odd] = (j[odd] + 1.0) ** 2 * PI_SQUARED
-        if j_max >= 2:
-            n = ints[~odd] // 2
-            z = bessel_roots(j_max // 2)[n - 1]
-            lam[~odd] = 4.0 * z**2
-        return lam
-    raise ValueError(f"unknown kernel kind: {kind!r}")
+    offset, _ = _SPECTRA[kind]
+    lam = (np.arange(1, j_max + 1, dtype=float) + offset) ** 2 * PI_SQUARED
+    if kind is KernelKind.DETRENDED and j_max >= 2:
+        lam[1::2] = 4.0 * bessel_roots(j_max // 2) ** 2
+    return lam
 
 
 def eigenvalue(kind: KernelKind, j: int) -> float:
@@ -148,26 +147,15 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t) -> np.ndarray:
     """
     _require_j(j_max)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    j = np.arange(1, j_max + 1, dtype=float)[:, None]
-    if kind is KernelKind.WIENER:
-        return SQRT2 * _sinpi((j - 0.5) * t)
-    if kind is KernelKind.DEMEANED:
-        return SQRT2 * _cospi(j * t)
-    if kind is KernelKind.BRIDGE:
-        return SQRT2 * _sinpi(j * t)
-    if kind is KernelKind.DETRENDED:
-        ints = np.arange(1, j_max + 1)
-        odd = ints % 2 == 1
-        out = np.empty((j_max, t.size))
-        out[odd] = SQRT2 * _cospi((j[odd] + 1.0) * t)
-        if j_max >= 2:
-            n = ints[~odd] // 2
-            z = bessel_roots(j_max // 2)[n - 1][:, None]
-            sign = np.where(n % 2 == 1, 1.0, -1.0)[:, None]
-            amplitude = SQRT2 / np.abs(np.sin(z))
-            out[~odd] = sign * amplitude * np.sin(2.0 * z * (t - 0.5))
-        return out
-    raise ValueError(f"unknown kernel kind: {kind!r}")
+    offset, trig = _SPECTRA[kind]
+    out = SQRT2 * trig((np.arange(1, j_max + 1, dtype=float)[:, None] + offset) * t)
+    if kind is KernelKind.DETRENDED and j_max >= 2:
+        n = np.arange(1, j_max // 2 + 1)
+        z = bessel_roots(j_max // 2)[:, None]
+        sign = np.where(n % 2 == 1, 1.0, -1.0)[:, None]
+        amplitude = SQRT2 / np.abs(np.sin(z))
+        out[1::2] = sign * amplitude * np.sin(2.0 * z * (t - 0.5))
+    return out
 
 
 def eigenfunction(kind: KernelKind, j: int, t: float) -> float:
@@ -191,24 +179,3 @@ def capital_lambda(j: int) -> float:
         # means the eigenvalue is corrupted.
         raise ValueError(f"sin(sqrt(lambda)/2) vanished for j={j}; eigenvalue corrupted")
     return 2.0 / (s * s)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """One analytic eigenpair with a vectorized eigenfunction evaluator."""
-
-    kind: KernelKind
-    j: int
-    value: float
-    f: Callable[[np.ndarray], np.ndarray]
-
-
-def eigenpair(kind: KernelKind, j: int) -> EigenPair:
-    """Bundle eigenvalue j with its eigenfunction evaluator."""
-    _require_j(j)
-    lam = eigenvalue(kind, j)
-
-    def evaluate(t):
-        return eigenfunction_matrix(kind, j, t)[j - 1]
-
-    return EigenPair(kind=kind, j=j, value=lam, f=evaluate)

@@ -2,8 +2,10 @@
 
 The four kinds are the Wiener process, its demeaned and detrended variants
 (residuals after projecting out a constant, or a constant plus linear trend),
-and the Brownian bridge.  All kernels have closed forms built from min(s, t)
-and low-degree polynomials, and all are positive semidefinite on any grid.
+and the Brownian bridge.  Every kernel is min(s, t) plus a cubic correction
+phi(s)^T C phi(t) over the monomials phi(x) = (1, x, x^2, x^3), with one
+symmetric coefficient table C per kind, and all are positive semidefinite on
+any grid.
 """
 
 from __future__ import annotations
@@ -30,27 +32,37 @@ class KernelKind(Enum):
             raise ValueError(f"unknown kernel kind {name!r}; expected one of: {valid}") from None
 
 
-def _kernel_array(kind: KernelKind, s, t):
-    """Closed-form kernel on broadcastable arrays.  No range checks."""
-    m = np.minimum(s, t)
-    if kind is KernelKind.WIENER:
-        return m
-    if kind is KernelKind.BRIDGE:
-        return m - s * t
-    if kind is KernelKind.DEMEANED:
-        return m - (s + t) + 0.5 * (s * s + t * t) + 1.0 / 3.0
-    if kind is KernelKind.DETRENDED:
-        return (
-            m
-            - 1.1 * (s + t)
-            + 2.0 * (s * s + t * t)
-            - (s**3 + t**3)
-            - 3.0 * (s * t * t + t * s * s)
-            + 2.0 * (s * t**3 + t * s**3)
-            + 1.2 * (s * t)
-            + 2.0 / 15.0
-        )
-    raise ValueError(f"unknown kernel kind: {kind!r}")
+def _symmetric(*entries: tuple[int, int, float]) -> np.ndarray:
+    """Read-only symmetric 4x4 matrix from its upper-triangle (row, col, value)."""
+    c = np.zeros((4, 4))
+    for a, b, value in entries:
+        c[a, b] = c[b, a] = value
+    c.setflags(write=False)
+    return c
+
+
+#: k(s, t) = min(s, t) + phi(s)^T C phi(t) with phi(x) = (1, x, x^2, x^3).
+_COEFFICIENTS = {
+    KernelKind.WIENER: _symmetric(),
+    KernelKind.BRIDGE: _symmetric((1, 1, -1.0)),
+    KernelKind.DEMEANED: _symmetric((0, 0, 1.0 / 3.0), (0, 1, -1.0), (0, 2, 0.5)),
+    KernelKind.DETRENDED: _symmetric(
+        (0, 0, 2.0 / 15.0),
+        (0, 1, -1.1),
+        (0, 2, 2.0),
+        (0, 3, -1.0),
+        (1, 1, 1.2),
+        (1, 2, -3.0),
+        (1, 3, 2.0),
+    ),
+}
+
+
+def _kernel_array(kind: KernelKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Closed-form kernel on the 1-D grid product x * y.  No range checks."""
+    powers_x = np.vander(x, 4, increasing=True)
+    powers_y = np.vander(y, 4, increasing=True)
+    return np.minimum.outer(x, y) + powers_x @ _COEFFICIENTS[kind] @ powers_y.T
 
 
 def _check_unit(x: float, name: str) -> float:
@@ -70,7 +82,7 @@ def kernel_value(kind: KernelKind, s: float, t: float) -> float:
     t = _check_unit(t, "t")
     if s > t:
         s, t = t, s
-    return float(_kernel_array(kind, s, t))
+    return float(_kernel_array(kind, np.array([s]), np.array([t]))[0, 0])
 
 
 def kernel_matrix(kind: KernelKind, x, y) -> np.ndarray:
@@ -80,7 +92,7 @@ def kernel_matrix(kind: KernelKind, x, y) -> np.ndarray:
     for arr, name in ((x, "x"), (y, "y")):
         if arr.size and (np.isnan(arr).any() or arr.min() < 0.0 or arr.max() > 1.0):
             raise ValueError(f"{name} values must lie in [0, 1]")
-    return np.asarray(_kernel_array(kind, x[:, None], y[None, :]), dtype=float)
+    return _kernel_array(kind, x, y)
 
 
 @dataclass(frozen=True)
@@ -110,7 +122,7 @@ def gram(kind: KernelKind, grid) -> GramMatrix:
     exactly, not merely to rounding.
     """
     g = _validated_grid(grid)
-    full = _kernel_array(kind, g[:, None], g[None, :])
+    full = _kernel_array(kind, g, g)
     upper = np.triu(full, k=1)
     entries = upper + upper.T + np.diag(np.diag(full))
     g.setflags(write=False)

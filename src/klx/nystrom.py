@@ -26,6 +26,11 @@ from .quadrature import gauss_legendre_01
 EIGENVALUE_RTOL = 1e-3
 
 _MIN_NODES = 16
+# One doubling above the 2000-node ladder of the acceptance suite and the
+# refinement script; the dense n x n Gram and its full eigendecomposition grow
+# as n^2 in memory and n^3 in time, so larger requests are refused before the
+# Gauss-Legendre rule is even computed.
+_MAX_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,12 @@ def nystrom_solve(kind: KernelKind, n_nodes: int, n_eigs: int) -> NystromSolutio
     """Solve the discretized eigenproblem on n_nodes Gauss-Legendre nodes.
 
     Returns the top n_eigs operator eigenvalues and weight-normalized
-    eigenvectors.  Requires n_nodes >= n_eigs >= 1 and n_nodes >= 16.
+    eigenvectors.  Requires n_nodes >= n_eigs >= 1 and 16 <= n_nodes <= 4096.
     """
     if n_eigs < 1:
         raise ValueError(f"n_eigs must be >= 1, got {n_eigs}")
-    if n_nodes < _MIN_NODES:
-        raise ValueError(f"n_nodes must be >= {_MIN_NODES}, got {n_nodes}")
+    if not _MIN_NODES <= n_nodes <= _MAX_NODES:
+        raise ValueError(f"n_nodes must lie in [{_MIN_NODES}, {_MAX_NODES}], got {n_nodes}")
     if n_eigs > n_nodes:
         raise ValueError(f"n_eigs ({n_eigs}) cannot exceed n_nodes ({n_nodes})")
     nodes, weights = gauss_legendre_01(n_nodes)

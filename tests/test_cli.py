@@ -10,6 +10,8 @@ import math
 import pytest
 
 import klx.cli
+import klx.nystrom
+from klx import KernelKind, eigenfunction, eigenvalue
 from klx.cli import main
 
 
@@ -96,6 +98,18 @@ class TestEigen:
         assert code == 2
         assert "unknown kernel kind" in err
 
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_rows_equal_scalar_evaluators(self, capsys, kind):
+        code, out, _ = run(capsys, "eigen", "--kind", kind.value, "--j-max", "41",
+                           "--format", "csv")
+        assert code == 0
+        rows = csv_rows(out)
+        assert [int(r["j"]) for r in rows] == list(range(1, 42))
+        for j, row in enumerate(rows, start=1):
+            assert float(row["lambda"]) == eigenvalue(kind, j)
+            for column, t in (("f_at_0", 0.0), ("f_at_half", 0.5), ("f_at_1", 1.0)):
+                assert float(row[column]) == eigenfunction(kind, j, t)
+
 
 class TestOracle:
     def test_pass_at_moderate_nodes(self, capsys):
@@ -112,6 +126,18 @@ class TestOracle:
                            "--eigs", "20")
         assert code == 2
         assert "cannot exceed" in err
+
+    def test_huge_node_count_exits_2_before_quadrature(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"Gauss-Legendre rule requested for {n} nodes")
+
+        monkeypatch.setattr(klx.nystrom, "gauss_legendre_01", refuse)
+        code, out, err = run(capsys, "oracle", "--kind", "wiener", "--nodes", "100000000",
+                             "--eigs", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "100000000" in err
 
 
 class TestSimulate:

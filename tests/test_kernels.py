@@ -1,11 +1,13 @@
 """Tests for the closed-form kernels and Gram matrices."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klx import KernelKind, gram, kernel_matrix, kernel_value
+from klx import KernelKind, eigenvalues, gram, kernel_matrix, kernel_value
 from klx.quadrature import integrate_01
 
 ALL_KINDS = list(KernelKind)
@@ -41,6 +43,40 @@ class TestPointValues:
             kernel_value(KernelKind.WIENER, 0.5, 1.5)
         with pytest.raises(ValueError):
             kernel_value(KernelKind.WIENER, float("nan"), 0.5)
+
+
+def exact_kernel(kind: KernelKind, s: float, t: float) -> Fraction:
+    """The closed forms evaluated in exact rational arithmetic."""
+    s, t = Fraction(s), Fraction(t)
+    m = min(s, t)
+    if kind is KernelKind.WIENER:
+        return m
+    if kind is KernelKind.BRIDGE:
+        return m - s * t
+    if kind is KernelKind.DEMEANED:
+        return m - (s + t) + (s * s + t * t) / 2 + Fraction(1, 3)
+    return (
+        m
+        - Fraction(11, 10) * (s + t)
+        + 2 * (s * s + t * t)
+        - (s**3 + t**3)
+        - 3 * (s * t * t + t * s * s)
+        + 2 * (s * t**3 + t * s**3)
+        + Fraction(6, 5) * s * t
+        + Fraction(2, 15)
+    )
+
+
+class TestExactReference:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_within_eight_eps_of_exact(self, kind):
+        rng = np.random.default_rng(1729)
+        points = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]
+        points += [(float(s), float(t)) for s, t in rng.random((1000, 2))]
+        bound = Fraction(8, 2**52)
+        worst = max(abs(Fraction(kernel_value(kind, s, t)) - exact_kernel(kind, s, t))
+                    for s, t in points)
+        assert worst <= bound
 
 
 class TestSymmetry:
@@ -139,6 +175,12 @@ class TestKindParsing:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
             KernelKind.parse("ornstein")
+
+    def test_non_kind_argument_rejected(self):
+        with pytest.raises(KeyError, match="wiener"):
+            kernel_value("wiener", 0.2, 0.5)
+        with pytest.raises(KeyError, match="bridge"):
+            eigenvalues("bridge", 3)
 
 
 class TestKernelMatrix:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import klx.nystrom
 from klx import (
     KernelKind,
     compare_eigenpairs,
@@ -50,6 +51,20 @@ class TestSolutionInvariants:
             nystrom_solve(KernelKind.WIENER, 8, 4)
         with pytest.raises(ValueError):
             nystrom_solve(KernelKind.WIENER, 64, 0)
+
+    def test_node_cap_is_checked_before_quadrature(self, monkeypatch):
+        class QuadratureReached(Exception):
+            pass
+
+        def reached(n):
+            raise QuadratureReached(n)
+
+        monkeypatch.setattr(klx.nystrom, "gauss_legendre_01", reached)
+        cap = klx.nystrom._MAX_NODES
+        with pytest.raises(ValueError, match=str(cap + 1)):
+            nystrom_solve(KernelKind.WIENER, cap + 1, 5)
+        with pytest.raises(QuadratureReached):
+            nystrom_solve(KernelKind.WIENER, cap, 5)
 
 
 class TestEigenvalueAccuracy:
