@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelKind
+from .kernels import KernelKind, _check_unit
 
 PI = math.pi
 PI_SQUARED = math.pi**2
 SQRT2 = math.sqrt(2.0)
 
-_BISECTION_STEPS = 80
 _NEWTON_STEPS = 3
 
 
@@ -72,27 +71,16 @@ class BesselRoot:
 
 
 def _solve_roots(n_max: int) -> np.ndarray:
-    """Roots 1..n_max of g(z) = sin z - z cos z by bracketed bisection.
+    """Roots 1..n_max of g(z) = sin z - z cos z by Newton's method.
 
-    Root n lies in (n pi, (n+1) pi); g at the left endpoint has sign
-    (-1)^(n+1).  Bisection runs a fixed 80 steps (interval shrinks below one
-    ulp long before that), then three Newton polish steps with
-    g'(z) = z sin z.
+    Root n lies in (n pi, (n + 1/2) pi), just below q = (n + 1/2) pi, where
+    the asymptotic expansion gives z_n = q - 1/q + O(q^-3).  Newton on g with
+    g'(z) = z sin z, started there, converges to every root in three steps.
     """
-    n = np.arange(1, n_max + 1, dtype=float)
-    lo = n * PI
-    hi = (n + 1.0) * PI
-    sign_lo = np.where(np.arange(1, n_max + 1) % 2 == 1, 1.0, -1.0)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        g = np.sin(mid) - mid * np.cos(mid)
-        same_side = np.sign(g) == sign_lo
-        lo = np.where(same_side, mid, lo)
-        hi = np.where(same_side, hi, mid)
-    z = 0.5 * (lo + hi)
+    q = (np.arange(1, n_max + 1, dtype=float) + 0.5) * PI
+    z = q - 1.0 / q
     for _ in range(_NEWTON_STEPS):
-        g = np.sin(z) - z * np.cos(z)
-        z = z - g / (z * np.sin(z))
+        z = z - (np.sin(z) - z * np.cos(z)) / (z * np.sin(z))
     return z
 
 
@@ -161,9 +149,7 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t) -> np.ndarray:
 def eigenfunction(kind: KernelKind, j: int, t: float) -> float:
     """Eigenfunction f_j evaluated at a single t in [0, 1]."""
     _require_j(j)
-    t = float(t)
-    if math.isnan(t) or not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+    t = _check_unit(t, "t")
     return float(eigenfunction_matrix(kind, j, np.array([t]))[j - 1, 0])
 
 

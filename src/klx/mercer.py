@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
-from .kernels import KernelKind
-from .series import _kahan
+from .kernels import KernelKind, _check_unit
+from .series import _kahan, _require_count
 
 ZETA2 = PI_SQUARED / 6.0
 
@@ -42,11 +42,6 @@ _TAIL_CONSTANT = {1: 1.0 / 3.0, 2: 1.0, 3: 1.0}
 _FLOAT_SLACK = 16.0 * math.ulp(PI_SQUARED / 6.0)
 
 
-def _require_positive(value: int, name: str) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def _check_proof(proof: int) -> None:
     if proof not in PROOF_IDS:
         raise ValueError(f"proof must be one of {PROOF_IDS}, got {proof}")
@@ -54,10 +49,8 @@ def _check_proof(proof: int) -> None:
 
 def mercer_terms(kind: KernelKind, t: float, j_max: int):
     """The first j_max Mercer terms f_j(t)^2 / lambda_j as an array."""
-    _require_positive(j_max, "j_max")
-    t = float(t)
-    if math.isnan(t) or not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+    _require_count(j_max, "j_max")
+    t = _check_unit(t, "t")
     f = eigenfunction_matrix(kind, j_max, t)[:, 0]
     return f * f / eigenvalues(kind, j_max)
 
@@ -76,10 +69,9 @@ def truncated_covariance(kind: KernelKind, s: float, t: float, j_max: int) -> fl
     This is the exact covariance of a truncated expansion with j_max terms,
     which is what simulated ensembles should be compared against.
     """
-    _require_positive(j_max, "j_max")
-    for name, x in (("s", float(s)), ("t", float(t))):
-        if math.isnan(x) or not 0.0 <= x <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    _require_count(j_max, "j_max")
+    s = _check_unit(s, "s")
+    t = _check_unit(t, "t")
     fs = eigenfunction_matrix(kind, j_max, s)[:, 0]
     ft = eigenfunction_matrix(kind, j_max, t)[:, 0]
     return _kahan((fs * ft / eigenvalues(kind, j_max)).tolist())
@@ -95,7 +87,7 @@ def basel_estimate(proof: int, j_terms: int) -> float:
     leaving j_terms nonzero contributions.
     """
     _check_proof(proof)
-    _require_positive(j_terms, "j_terms")
+    _require_count(j_terms, "j_terms")
     if proof == 1:
         return (4.0 / 3.0) * _kahan((2 * j - 1) ** -2.0 for j in range(1, j_terms + 1))
     if proof == 2:
@@ -111,7 +103,7 @@ def basel_estimate_route1_literal(j_terms: int) -> float:
     cross-check that the rearranged series and the eigenfunction route
     agree.
     """
-    _require_positive(j_terms, "j_terms")
+    _require_count(j_terms, "j_terms")
     return (PI_SQUARED / 6.0) * mercer_partial(KernelKind.WIENER, 1.0, j_terms)
 
 
@@ -122,7 +114,7 @@ def proof_tail_bound(proof: int, j_terms: int) -> float:
     floating-point rounding of the computed estimate and reference.
     """
     _check_proof(proof)
-    _require_positive(j_terms, "j_terms")
+    _require_count(j_terms, "j_terms")
     return _TAIL_CONSTANT[proof] / j_terms + _FLOAT_SLACK
 
 

@@ -113,8 +113,8 @@ class OracleComparison:
     n_nodes: int
     rows: tuple[OracleRow, ...]
 
-    def passes(self, rtol: float = EIGENVALUE_RTOL) -> bool:
-        return all(row.rel_error <= rtol for row in self.rows)
+    def passes(self) -> bool:
+        return all(row.rel_error <= EIGENVALUE_RTOL for row in self.rows)
 
 
 def compare_eigenpairs(kind: KernelKind, n_eigs: int, n_nodes: int) -> OracleComparison:

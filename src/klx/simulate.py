@@ -219,28 +219,24 @@ def covariance_test(
     config = ensemble.config
     target = config.kind if target_kind is None else target_kind
     usable = np.flatnonzero(ensemble.values.std(axis=0) > 0.0)
-    if usable.size == 0:
-        return CovarianceTestReport(
-            kind=config.kind,
-            target_kind=target,
-            pair_count=pair_count,
-            z_threshold=z_threshold,
-            checks=(),
-            exceedances=0,
-            allowed_exceedances=_allowed_exceedances(pair_count, z_threshold),
-            passed=True,
-            skipped=True,
-            message="all grid columns are degenerate; covariance test skipped",
+    skipped = usable.size == 0
+    checks = ()
+    if not skipped:
+        sampler = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED + 1))
+        picks = usable[sampler.integers(0, usable.size, size=(pair_count, 2))]
+        checks = tuple(
+            empirical_covariance(ensemble, int(s_idx), int(t_idx), target_kind=target)
+            for s_idx, t_idx in picks
         )
-    sampler = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED + 1))
-    picks = usable[sampler.integers(0, usable.size, size=(pair_count, 2))]
-    checks = tuple(
-        empirical_covariance(ensemble, int(s_idx), int(t_idx), target_kind=target)
-        for s_idx, t_idx in picks
-    )
     exceedances = sum(1 for c in checks if abs(c.z_score) > z_threshold)
     allowed = _allowed_exceedances(pair_count, z_threshold)
-    passed = exceedances <= allowed
+    if skipped:
+        message = "all grid columns are degenerate; covariance test skipped"
+    else:
+        message = (
+            f"{exceedances} of {pair_count} pairs exceeded |z| > {z_threshold} "
+            f"(allowed {allowed})"
+        )
     return CovarianceTestReport(
         kind=config.kind,
         target_kind=target,
@@ -249,10 +245,9 @@ def covariance_test(
         checks=checks,
         exceedances=exceedances,
         allowed_exceedances=allowed,
-        passed=passed,
-        skipped=False,
-        message=f"{exceedances} of {pair_count} pairs exceeded |z| > {z_threshold} "
-        f"(allowed {allowed})",
+        passed=exceedances <= allowed,
+        skipped=skipped,
+        message=message,
     )
 
 

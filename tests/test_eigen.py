@@ -61,9 +61,18 @@ class TestBesselRoots:
         assert abs(math.sin(z) - z * math.cos(z)) <= 1e-10
         assert n * PI < z < (n + 1) * PI
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 10**3, 10**5, 10**6])
     def test_matches_tan_fixed_point_oracle(self, n):
         assert abs(bessel_root(n).z - tan_fixed_point_oracle(n)) <= 1e-10
+
+    def test_every_root_bracketed_and_increasing(self):
+        # Newton keeps no bracket, so check the one every root must satisfy:
+        # root n in (n pi, (n + 1/2) pi) for every n up to 10**6.
+        n = np.arange(1, 10**6 + 1, dtype=float)
+        z = bessel_roots(10**6)
+        assert np.all(n * PI < z)
+        assert np.all(z < (n + 0.5) * PI)
+        assert np.all(np.diff(z) > 0.0)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_mpmath_bessel_zero(self, n):
