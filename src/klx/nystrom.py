@@ -6,6 +6,17 @@ nodes, symmetrize with the square-root weight matrix, and diagonalize.  The
 operator eigenvalues mu_j approximate 1/lambda_j; nothing here reuses the
 analytic formulas, so agreement between the two routes validates both.
 
+Only the top k eigenpairs are wanted, so the solver depends on (n, k) alone.
+When the block p = 2k + 8 is at most 1/20 of the n nodes, block subspace
+iteration with Rayleigh-Ritz (Rutishauser 1970; Saad, Numerical Methods for
+Large Eigenvalue Problems, 2011, ch. 5) costs a few n x n x p products and
+stops once every kept Ritz pair has a residual at rounding level.  Otherwise
+one dense eigh of the whole matrix is cheaper: that is Rayleigh-Ritz on the
+whole space, exact in one step.  The 1/20 share is the crossover measured at
+1000 and 2000 nodes on a 2-vCPU x86 host with OpenBLAS; at 4096 nodes
+iteration stayed ahead down to about n/p = 9, so the rule errs towards eigh
+there.
+
 The kink of min(s, t) along the diagonal limits the quadrature to algebraic
 convergence, which is plenty for a validation oracle: relative eigenvalue
 errors at 1000 nodes sit well below the frozen 1e-3 acceptance tolerance and
@@ -27,10 +38,20 @@ EIGENVALUE_RTOL = 1e-3
 
 _MIN_NODES = 16
 # One doubling above the 2000-node ladder of the acceptance suite and the
-# refinement script; the dense n x n Gram and its full eigendecomposition grow
-# as n^2 in memory and n^3 in time, so larger requests are refused before the
-# Gauss-Legendre rule is even computed.
+# refinement script.  Either solver reads the dense n x n Gram (n^2 memory),
+# and requests with many modes still take the whole-space eigh (n^3 time), so
+# larger requests are refused before the Gauss-Legendre rule is even computed.
 _MAX_NODES = 4096
+
+# Subspace iteration: block size p = 2k + _GUARD_COLUMNS, used only while
+# _ITERATION_SHARE * p <= n; a kept Ritz pair (theta, v) has converged once
+# ||a v - theta v|| <= _RESIDUAL_RTOL * theta_1.  The tolerance sits about ten
+# times above the residual of a dense eigh at 4096 nodes, and the kernels
+# here converge in 10-20 steps, so the cap only stops a solve gone wrong.
+_GUARD_COLUMNS = 8
+_ITERATION_SHARE = 20
+_RESIDUAL_RTOL = 1e-14
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -54,12 +75,44 @@ class NystromSolution:
 
         Uses f(t) = lambda * sum_i w_i k(t_i, t) v_i with lambda = 1/mu.
         """
+        if not 0 <= index < len(self.eigenvalues):
+            raise ValueError(
+                f"eigenvector index must lie in [0, {len(self.eigenvalues)}), got {index}"
+            )
         mu = self.eigenvalues[index]
         if mu <= 0.0:
             raise ValueError("cannot extend an eigenvector with non-positive eigenvalue")
         t = np.atleast_1d(np.asarray(t, dtype=float))
         columns = kernel_matrix(self.kind, self.nodes, t)
         return (1.0 / mu) * (self.weights * self.eigenvectors[:, index]) @ columns
+
+
+def _top_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k eigenvalues of the symmetric matrix a, descending, and their vectors.
+
+    Raises np.linalg.LinAlgError when either solver fails to converge.
+    """
+    n = a.shape[0]
+    p = 2 * k + _GUARD_COLUMNS
+    if _ITERATION_SHARE * p > n:
+        spectrum, vectors = np.linalg.eigh(a)
+        return spectrum[::-1][:k], vectors[:, ::-1][:, :k]
+    start = np.random.Generator(np.random.Philox(key=0)).standard_normal((n, p))
+    q, _ = np.linalg.qr(start)
+    for _ in range(_MAX_ITERATIONS):
+        aq = a @ q
+        theta, w = np.linalg.eigh(q.T @ aq)
+        theta, w = theta[::-1], w[:, ::-1]
+        ritz = q @ w[:, :k]
+        a_ritz = aq @ w
+        residual = np.linalg.norm(a_ritz[:, :k] - ritz * theta[:k], axis=0).max()
+        if residual <= _RESIDUAL_RTOL * theta[0]:
+            return theta[:k], ritz
+        q, _ = np.linalg.qr(a_ritz)
+    raise np.linalg.LinAlgError(
+        f"subspace iteration stopped after {_MAX_ITERATIONS} steps "
+        f"with relative residual {residual / theta[0]:.1e}"
+    )
 
 
 def nystrom_solve(kind: KernelKind, n_nodes: int, n_eigs: int) -> NystromSolution:
@@ -79,12 +132,10 @@ def nystrom_solve(kind: KernelKind, n_nodes: int, n_eigs: int) -> NystromSolutio
     sqrt_w = np.sqrt(weights)
     symmetrized = kmat * np.outer(sqrt_w, sqrt_w)
     try:
-        spectrum, vectors = np.linalg.eigh(symmetrized)
+        mu, vectors = _top_eigenpairs(symmetrized, n_eigs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge on {n_nodes} nodes: {exc}") from exc
-    order = np.argsort(spectrum)[::-1][:n_eigs]
-    mu = spectrum[order]
-    eigenvectors = vectors[:, order] / sqrt_w[:, None]
+    eigenvectors = vectors / sqrt_w[:, None]
     mu.setflags(write=False)
     eigenvectors.setflags(write=False)
     return NystromSolution(

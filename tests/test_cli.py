@@ -139,6 +139,15 @@ class TestOracle:
         assert err.startswith("error: ")
         assert "100000000" in err
 
+    def test_unconverged_eigensolver_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(klx.nystrom, "_MAX_ITERATIONS", 1)
+        code, out, err = run(capsys, "oracle", "--kind", "wiener", "--nodes", "2000",
+                             "--eigs", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: eigensolver failed to converge on 2000 nodes")
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_deterministic_output_files(self, capsys, tmp_path):

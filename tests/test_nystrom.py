@@ -18,6 +18,27 @@ from klx import (
 ALL_KINDS = list(KernelKind)
 
 
+def dense_top_eigenpairs(kind, n_nodes, n_eigs):
+    """Reference route: full eigh of the symmetrised Gram, weight-normalised."""
+    nodes, weights = klx.nystrom.gauss_legendre_01(n_nodes)
+    sqrt_w = np.sqrt(weights)
+    symmetrized = klx.nystrom.gram(kind, nodes).entries * np.outer(sqrt_w, sqrt_w)
+    spectrum, vectors = np.linalg.eigh(symmetrized)
+    return spectrum[::-1][:n_eigs], vectors[:, ::-1][:, :n_eigs] / sqrt_w[:, None]
+
+
+def record_eigh_shapes(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
 class TestSolutionInvariants:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_weights_and_spectrum(self, kind):
@@ -65,6 +86,44 @@ class TestSolutionInvariants:
             nystrom_solve(KernelKind.WIENER, cap + 1, 5)
         with pytest.raises(QuadratureReached):
             nystrom_solve(KernelKind.WIENER, cap, 5)
+
+
+class TestTopEigenpairSolver:
+    @pytest.mark.parametrize("n_eigs", [1, 5])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_dense_eigh(self, kind, n_eigs):
+        solution = nystrom_solve(kind, 400, n_eigs)
+        mu, vectors = dense_top_eigenpairs(kind, 400, n_eigs)
+        assert np.max(np.abs(solution.eigenvalues - mu) / mu) <= 1e-13
+        signs = np.sign(np.sum(solution.weights[:, None] * solution.eigenvectors * vectors, axis=0))
+        assert np.max(np.abs(solution.eigenvectors * signs - vectors)) <= 1e-12
+
+    def test_repeat_is_byte_identical(self):
+        first = nystrom_solve(KernelKind.DETRENDED, 400, 5)
+        second = nystrom_solve(KernelKind.DETRENDED, 400, 5)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+    def test_small_block_iterates(self, monkeypatch):
+        # block 2*6 + 8 = 20 is 1/20 of 400 nodes: only 20 x 20 Ritz problems
+        shapes = record_eigh_shapes(monkeypatch)
+        nystrom_solve(KernelKind.WIENER, 400, 6)
+        assert len(shapes) > 1
+        assert set(shapes) == {(20, 20)}
+
+    def test_large_block_takes_one_whole_space_eigh(self, monkeypatch):
+        # block 2*7 + 8 = 22 exceeds 1/20 of 400 nodes
+        shapes = record_eigh_shapes(monkeypatch)
+        solution = nystrom_solve(KernelKind.WIENER, 400, 7)
+        assert shapes == [(400, 400)]
+        mu, vectors = dense_top_eigenpairs(KernelKind.WIENER, 400, 7)
+        assert solution.eigenvalues.tobytes() == mu.tobytes()
+        assert solution.eigenvectors.tobytes() == vectors.tobytes()
+
+    def test_iteration_cap_raises_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(klx.nystrom, "_MAX_ITERATIONS", 1)
+        with pytest.raises(RuntimeError, match="failed to converge on 400 nodes"):
+            nystrom_solve(KernelKind.WIENER, 400, 5)
 
 
 class TestEigenvalueAccuracy:
@@ -124,6 +183,12 @@ class TestInterpolation:
             analytic = eigenfunction_matrix(KernelKind.WIENER, idx + 1, t)[idx]
             sign = 1.0 if np.dot(extended, analytic) >= 0 else -1.0
             assert np.max(np.abs(sign * extended - analytic)) <= 1e-3
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_the_kept_modes_is_refused(self, index):
+        solution = nystrom_solve(KernelKind.WIENER, 100, 2)
+        with pytest.raises(ValueError, match="index"):
+            solution.interpolate(index, 0.5)
 
     def test_extension_reproduces_node_values(self):
         solution = nystrom_solve(KernelKind.BRIDGE, 200, 1)
