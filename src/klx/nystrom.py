@@ -43,11 +43,10 @@ _MIN_NODES = 16
 # larger requests are refused before the Gauss-Legendre rule is even computed.
 _MAX_NODES = 4096
 
-# Subspace iteration: block size p = 2k + _GUARD_COLUMNS, used only while
-# _ITERATION_SHARE * p <= n; a kept Ritz pair (theta, v) has converged once
-# ||a v - theta v|| <= _RESIDUAL_RTOL * theta_1.  The tolerance sits about ten
-# times above the residual of a dense eigh at 4096 nodes, and the kernels
-# here converge in 10-20 steps, so the cap only stops a solve gone wrong.
+# Subspace iteration.  The residual tolerance, relative to the top Ritz value,
+# sits about ten times above the residual of a dense eigh at 4096 nodes; the
+# kernels here converge in 10-20 steps, so the cap only stops a solve gone
+# wrong.
 _GUARD_COLUMNS = 8
 _ITERATION_SHARE = 20
 _RESIDUAL_RTOL = 1e-14
