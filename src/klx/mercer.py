@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _kahan, _require_count
+from .series import _kahan, _kahan_at, _require_count
 
 ZETA2 = PI_SQUARED / 6.0
 
@@ -78,28 +78,14 @@ def truncated_covariance(kind: KernelKind, s: float, t: float, j_max: int) -> fl
 
 
 def basel_estimate(proof: int, j_terms: int) -> float:
-    """zeta(2) estimate from one of the three routes, using j_terms terms.
-
-    Route 1 sums the odd-square reciprocals directly and scales by 4/3
-    (the closed form of its Mercer sum at t = 1); routes 2 and 3 evaluate
-    the Mercer partial sums and rescale.  Route 3 spends 2 * j_terms
-    eigenpair indices because the even-index terms vanish at t = 1/2,
-    leaving j_terms nonzero contributions.
-    """
-    _check_proof(proof)
-    _require_count(j_terms, "j_terms")
-    if proof == 1:
-        return (4.0 / 3.0) * _kahan((2 * j - 1) ** -2.0 for j in range(1, j_terms + 1))
-    if proof == 2:
-        return (PI_SQUARED / 2.0) * mercer_partial(KernelKind.DEMEANED, 1.0, j_terms)
-    return (2.0 * PI_SQUARED) * mercer_partial(KernelKind.DETRENDED, 0.5, 2 * j_terms)
+    """zeta(2) estimate from one route at j_terms terms: one ``proof_report`` row."""
+    return proof_report(proof, [j_terms]).rows[0].estimate
 
 
 def basel_estimate_route1_literal(j_terms: int) -> float:
     """Route 1 computed from the literal Mercer sum at t = 1.
 
     Equals ``basel_estimate(1, j_terms)`` to a few ulps; kept as a
-
     cross-check that the rearranged series and the eigenfunction route
     agree.
     """
@@ -139,19 +125,29 @@ class ConvergenceReport:
 
 
 def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
-    """Convergence report of one route over the given truncation levels."""
+    """Convergence report of one route over the given truncation levels.
+
+    Route 1 sums the odd-square reciprocals and scales by 4/3 (the closed form
+    of its Mercer sum at t = 1); routes 2 and 3 sum the Mercer terms and
+    rescale.  Route 3 spends 2J indices on level J because the even-index
+    terms vanish at t = 1/2.  Each route is summed once, up to its largest
+    level, and each estimate is bit-identical to summing its level alone.
+    """
     _check_proof(proof)
     if not j_values:
         raise ValueError("j_values must be non-empty")
-    rows = []
     for j_terms in j_values:
-        estimate = basel_estimate(proof, j_terms)
-        rows.append(
-            ConvergenceRow(
-                j_terms=j_terms,
-                estimate=estimate,
-                abs_error=abs(ZETA2 - estimate),
-                tail_bound=proof_tail_bound(proof, j_terms),
-            )
-        )
-    return ConvergenceReport(proof_id=f"Proof{proof}", rows=tuple(rows))
+        _require_count(j_terms, "j_terms")
+    counts = [2 * j for j in j_values] if proof == 3 else j_values
+    n = max(counts)
+    if proof == 1:
+        scale, terms = 4.0 / 3.0, ((2 * j - 1) ** -2.0 for j in range(1, n + 1))
+    elif proof == 2:
+        scale, terms = PI_SQUARED / 2.0, mercer_terms(KernelKind.DEMEANED, 1.0, n).tolist()
+    else:
+        scale, terms = 2.0 * PI_SQUARED, mercer_terms(KernelKind.DETRENDED, 0.5, n).tolist()
+    estimates = [scale * total for total in _kahan_at(terms, counts)]
+    rows = tuple(ConvergenceRow(j_terms, estimate, abs(ZETA2 - estimate),
+                                proof_tail_bound(proof, j_terms))
+                 for j_terms, estimate in zip(j_values, estimates))
+    return ConvergenceReport(proof_id=f"Proof{proof}", rows=rows)

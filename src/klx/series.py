@@ -16,8 +16,10 @@ Index conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -48,28 +50,33 @@ class ResidualSequenceEntry:
             raise ValueError("residual must be finite")
 
 
+def _kahan_at(terms: Iterable[float], counts: Sequence[int]) -> list[float]:
+    """Kahan sums of the first n terms for each n in ``counts``, from one pass.
+
+    ``counts`` may be unsorted and may repeat; the sums come back in request
+    order.  Each sum is bit-identical to summing its first n terms alone,
+    because the running total and compensation after n terms depend only on
+    those terms.  A count past the end of ``terms`` gets the sum of all of
+    them; no term past the largest count is drawn.
+    """
+    it = iter(terms)
+    total = comp = 0.0
+    done = 0
+    sums = {}
+    for n in sorted(set(counts)):
+        for x in islice(it, n - done):
+            y = x - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        sums[n] = total
+        done = n
+    return [sums[n] for n in counts]
+
+
 def _kahan(terms: Iterable[float]) -> float:
     """Sum ``terms`` in iteration order with Kahan compensation."""
-    total = 0.0
-    comp = 0.0
-    for x in terms:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _kahan_running(terms: Iterable[float]) -> Iterator[float]:
-    """Yield the compensated running sum after each term."""
-    total = 0.0
-    comp = 0.0
-    for x in terms:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        yield total
+    return _kahan_at(terms, [sys.maxsize])[0]
 
 
 def _require_count(n: int, name: str = "n") -> None:
@@ -95,22 +102,12 @@ def zeta_partial(s: float, n: int) -> PartialSum:
 
 def _partial_table(term: Callable[[int], float], n_values: Sequence[int]) -> list[PartialSum]:
     """Kahan sums of ``term(k)`` for k = 1..n at each n in ``n_values``, from one
-    running pass; each value is bit-identical to the scalar sum of n terms."""
+    walk; each value is bit-identical to the scalar sum of n terms."""
     if not n_values:
         raise ValueError("n_values must be non-empty")
-    targets = sorted(set(n_values))
-    _require_count(targets[0])
-    wanted = {}
-    running = _kahan_running(term(k) for k in range(1, targets[-1] + 1))
-    target_iter = iter(targets)
-    next_target = next(target_iter)
-    for n, value in enumerate(running, start=1):
-        if n == next_target:
-            wanted[n] = value
-            next_target = next(target_iter, None)
-            if next_target is None:
-                break
-    return [PartialSum(n, wanted[n]) for n in n_values]
+    _require_count(min(n_values))
+    terms = (term(k) for k in range(1, max(n_values) + 1))
+    return [PartialSum(n, v) for n, v in zip(n_values, _kahan_at(terms, n_values))]
 
 
 def zeta_partial_table(s: float, n_values: Sequence[int]) -> list[PartialSum]:

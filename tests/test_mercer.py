@@ -20,6 +20,8 @@ from klx import (
     truncated_covariance,
     zeta_partial,
 )
+from klx import mercer
+from klx.series import _kahan
 
 ALL_KINDS = list(KernelKind)
 
@@ -145,6 +147,30 @@ class TestConvergenceReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             proof_report(1, [])
+
+    @pytest.mark.parametrize("proof", [1, 2, 3])
+    def test_levels_match_per_level_sums_in_request_order(self, proof):
+        levels = [1000, 10, 1000, 1, 100000, 37]
+        per_level = {
+            1: lambda j: (4.0 / 3.0) * _kahan((2 * k - 1) ** -2.0 for k in range(1, j + 1)),
+            2: lambda j: (math.pi**2 / 2.0) * mercer_partial(KernelKind.DEMEANED, 1.0, j),
+            3: lambda j: (2.0 * math.pi**2) * mercer_partial(KernelKind.DETRENDED, 0.5, 2 * j),
+        }[proof]
+        report = proof_report(proof, levels)
+        assert [row.j_terms for row in report.rows] == levels
+        assert [row.estimate for row in report.rows] == [per_level(j) for j in levels]
+
+    @pytest.mark.parametrize("proof, j_max", [(3, 2000), (2, 1000)])
+    def test_each_route_builds_its_terms_once(self, proof, j_max, monkeypatch):
+        calls = []
+
+        def counting(kind, t, n):
+            calls.append(n)
+            return mercer_terms(kind, t, n)
+
+        monkeypatch.setattr(mercer, "mercer_terms", counting)
+        proof_report(proof, [10, 1000, 100])
+        assert calls == [j_max]
 
 
 class TestTruncatedCovariance:

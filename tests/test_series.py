@@ -27,6 +27,7 @@ from klx import (
     zeta_partial,
     zeta_partial_table,
 )
+from klx.series import _kahan, _kahan_at
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -77,6 +78,26 @@ class TestZetaPartial:
     def test_table_preserves_request_order(self):
         table = zeta_partial_table(2.0, [100, 3])
         assert [e.n_terms for e in table] == [100, 3]
+
+
+class TestKahanWalker:
+    # Each small term is below half an ulp of the total, so only the carried
+    # compensation makes it count: a walker that drops it at a level drifts.
+    TERMS = [1.0] + [1e-16] * 9
+
+    def test_each_count_matches_its_own_sum_in_request_order(self):
+        counts = [7, 2, 7, 10, 0, 4, 50]
+        sums = _kahan_at(self.TERMS, counts)
+        assert sums == [_kahan(self.TERMS[:n]) for n in counts]
+
+    def test_draws_no_term_past_the_largest_count(self):
+        drawn = []
+        terms = (drawn.append(x) or x for x in self.TERMS)
+        _kahan_at(terms, [3, 1])
+        assert len(drawn) == 3
+
+    def test_kahan_sums_a_generator(self):
+        assert _kahan(x for x in self.TERMS) == _kahan_at(self.TERMS, [10])[0]
 
 
 class TestTailBounds:
