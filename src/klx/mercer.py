@@ -41,6 +41,11 @@ _TAIL_CONSTANT = {1: 1.0 / 3.0, 2: 1.0, 3: 1.0}
 #: *computed* error must also cover a few ulps of measurement fuzz.
 _FLOAT_SLACK = 16.0 * math.ulp(PI_SQUARED / 6.0)
 
+#: Largest truncation level ``proof_report`` accepts.  Every route is summed
+#: term by term over a Python list, which at J = 1e7 already peaks near
+#: 1.1 GB, so larger levels are refused before any term is built.
+_MAX_TERMS = 10**7
+
 
 def _check_proof(proof: int) -> None:
     if proof not in PROOF_IDS:
@@ -138,6 +143,8 @@ def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
         raise ValueError("j_values must be non-empty")
     for j_terms in j_values:
         _require_count(j_terms, "j_terms")
+        if j_terms > _MAX_TERMS:
+            raise ValueError(f"truncation level must be <= {_MAX_TERMS}, got {j_terms}")
     counts = [2 * j for j in j_values] if proof == 3 else j_values
     n = max(counts)
     if proof == 1:

@@ -270,9 +270,14 @@ def _write_atomically(path: str, chunks: Iterable[bytes]) -> None:
 
 
 def write_ensemble_csv(ensemble: PathEnsemble, path: str) -> None:
-    """CSV export: header row holds the grid, then one row per path."""
+    """CSV export: header row holds the grid, then one row per path.
+
+    Each row is one ``%`` over its floats as a list; ``%.17g`` gives the same
+    bytes as ``format(x, ".17g")``.
+    """
+    line = ",".join(["%.17g"] * ensemble.config.grid.size) + "\n"
     rows = itertools.chain([ensemble.config.grid], ensemble.values)
-    _write_atomically(path, ((",".join(f"{x:.17g}" for x in row) + "\n").encode() for row in rows))
+    _write_atomically(path, ((line % tuple(row.tolist())).encode() for row in rows))
 
 
 def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:

@@ -6,10 +6,15 @@ configuration error (argparse errors also exit 2 via SystemExit).
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import klx.cli
+import klx.mercer
 import klx.nystrom
 from klx import KernelKind, eigenfunction, eigenvalue
 from klx.cli import main
@@ -58,6 +63,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--proof", "1", "--J", ",")
         assert code == 2
         assert "error" in err
+
+    def test_huge_j_exits_2_before_any_term(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("terms built for a refused level")
+
+        monkeypatch.setattr(klx.mercer, "mercer_terms", refuse)
+        monkeypatch.setattr(klx.mercer, "_kahan_at", refuse)
+        code, out, err = run(capsys, "verify", "--proof", "all", "--J", "10,100000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "100000000000000" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--proof", "1", "--J", "10",
@@ -264,3 +281,14 @@ class TestSeries:
         row = csv_rows(out)[0]
         assert float(row["reference_limit"]) == pytest.approx(math.pi**2 / 16.0, rel=1e-15)
         assert abs(float(row["distance"])) < 0.01
+
+
+def test_import_does_not_load_scipy():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = ("import sys, klx.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

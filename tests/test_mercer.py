@@ -149,6 +149,29 @@ class TestConvergenceReport:
             proof_report(1, [])
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
+    def test_refuses_level_above_cap_before_building_terms(self, proof, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("terms built for a refused level")
+
+        monkeypatch.setattr(mercer, "mercer_terms", refuse)
+        monkeypatch.setattr(mercer, "_kahan_at", refuse)
+        with pytest.raises(ValueError, match=str(mercer._MAX_TERMS + 1)):
+            proof_report(proof, [10, mercer._MAX_TERMS + 1])
+
+    @pytest.mark.parametrize("proof", [1, 2, 3])
+    def test_accepts_level_at_cap(self, proof, monkeypatch):
+        summed = []
+
+        def stub_sums(terms, counts):
+            summed.extend(counts)
+            return [0.0] * len(counts)
+
+        monkeypatch.setattr(mercer, "mercer_terms", lambda kind, t, n: np.zeros(0))
+        monkeypatch.setattr(mercer, "_kahan_at", stub_sums)
+        proof_report(proof, [mercer._MAX_TERMS])
+        assert summed == [mercer._MAX_TERMS * (2 if proof == 3 else 1)]
+
+    @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_levels_match_per_level_sums_in_request_order(self, proof):
         levels = [1000, 10, 1000, 1, 100000, 37]
         per_level = {

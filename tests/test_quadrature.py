@@ -1,9 +1,64 @@
 """Tests for the unit-interval Gauss-Legendre helpers."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from klx.quadrature import gauss_legendre_01, integrate_01
+
+
+def mp_legendre_node(n, x0):
+    """Node near x0 and its weight on [0, 1] by 40-digit Newton on P_n."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(2 * x0 - 1)
+        for _ in range(6):
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            dp = n * (x * p - p_prev) / (x * x - 1)
+            x -= p / dp
+        return (x + 1) / 2, 1 / ((1 - x * x) * dp * dp)
+
+
+def test_mpmath_reference_matches_closed_form_at_five_nodes():
+    with mpmath.workdps(40):
+        inner = mpmath.sqrt(5 - 2 * mpmath.sqrt(mpmath.mpf(10) / 7)) / 3
+        outer = mpmath.sqrt(5 + 2 * mpmath.sqrt(mpmath.mpf(10) / 7)) / 3
+        exact = [(0, mpmath.mpf(128) / 225),
+                 (inner, (322 + 13 * mpmath.sqrt(70)) / 900),
+                 (outer, (322 - 13 * mpmath.sqrt(70)) / 900)]
+        for x, w in exact:
+            node, weight = mp_legendre_node(5, float((x + 1) / 2) + 1e-3)
+            assert abs(node - (x + 1) / 2) < mpmath.mpf(10) ** -35
+            assert abs(weight - w / 2) < mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("n, indices", [
+    (5, range(5)),
+    (64, range(64)),
+    (2000, (0, 700, 1000, 1999)),
+], ids=["5", "64", "2000"])
+def test_nodes_and_weights_match_mpmath_newton(n, indices):
+    nodes, weights = gauss_legendre_01(n)
+    weight_rtol = 1e-12 if n <= 64 else 1e-9
+    for i in indices:
+        node, weight = mp_legendre_node(n, nodes[i])
+        # absolute on [0, 1]: the map (x + 1)/2 itself rounds
+        assert abs(nodes[i] - node) <= 2e-16, i
+        assert abs(weights[i] / weight - 1) <= weight_rtol, i
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 101, 2000])
+def test_rule_is_symmetric(n):
+    nodes, weights = gauss_legendre_01(n)
+    assert np.array_equal(weights, weights[::-1])
+    if n % 2:
+        assert nodes[n // 2] == 0.5
+
+
+def test_arrays_are_read_only():
+    nodes, weights = gauss_legendre_01(8)
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64, 256, 1000])

@@ -297,6 +297,18 @@ class TestSerialization:
         assert os.listdir(tmp_path) == ["paths.klx"]
         assert np.array_equal(read_klx1(str(path)), ensemble.values)
 
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        grid = np.linspace(0.0, 1.0, 4)
+        values = np.array([[-0.0, 5e-324, 1e-300, 1e300],
+                           [0.1, -2.2250738585072014e-308, 1.0 / 3.0, -1e300]])
+        path = tmp_path / "paths.csv"
+        write_ensemble_csv(PathEnsemble(config=config(n_paths=2, grid=grid), values=values),
+                           str(path))
+        expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                           for row in [grid, *values])
+        assert path.read_bytes() == expected.encode()
+        assert "-0," in expected and "4.9406564584124654e-324" in expected
+
     def test_csv_header_is_grid(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 4)
         ensemble = sample_paths(config(n_paths=3, grid=grid))
