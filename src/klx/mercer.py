@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _kahan, _kahan_at, _require_count
+from .series import _MAX_TERMS, _kahan, _require_count, _require_level, odd_squares_partial
 
 ZETA2 = PI_SQUARED / 6.0
 
@@ -40,11 +41,6 @@ _TAIL_CONSTANT = {1: 1.0 / 3.0, 2: 1.0, 3: 1.0}
 #: of the estimate and of the reference value, so an honest bound on the
 #: *computed* error must also cover a few ulps of measurement fuzz.
 _FLOAT_SLACK = 16.0 * math.ulp(PI_SQUARED / 6.0)
-
-#: Largest truncation level ``proof_report`` accepts.  Every route is summed
-#: term by term over a Python list, which at J = 1e7 already peaks near
-#: 1.1 GB, so larger levels are refused before any term is built.
-_MAX_TERMS = 10**7
 
 
 def _check_proof(proof: int) -> None:
@@ -135,25 +131,25 @@ def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
     Route 1 sums the odd-square reciprocals and scales by 4/3 (the closed form
     of its Mercer sum at t = 1); routes 2 and 3 sum the Mercer terms and
     rescale.  Route 3 spends 2J indices on level J because the even-index
-    terms vanish at t = 1/2.  Each route is summed once, up to its largest
-    level, and each estimate is bit-identical to summing its level alone.
+    terms vanish at t = 1/2.  Every level is the correctly rounded ``fsum`` of
+    its own terms, so it is bit-identical to summing that level alone; routes
+    2 and 3 build their Mercer terms once, up to the largest level.
     """
     _check_proof(proof)
     if not j_values:
         raise ValueError("j_values must be non-empty")
     for j_terms in j_values:
         _require_count(j_terms, "j_terms")
-        if j_terms > _MAX_TERMS:
-            raise ValueError(f"truncation level must be <= {_MAX_TERMS}, got {j_terms}")
+        _require_level(j_terms, "truncation level")
     counts = [2 * j for j in j_values] if proof == 3 else j_values
-    n = max(counts)
     if proof == 1:
-        scale, terms = 4.0 / 3.0, ((2 * j - 1) ** -2.0 for j in range(1, n + 1))
-    elif proof == 2:
-        scale, terms = PI_SQUARED / 2.0, mercer_terms(KernelKind.DEMEANED, 1.0, n).tolist()
+        scale, sums = 4.0 / 3.0, [odd_squares_partial(j - 1).value for j in j_values]
     else:
-        scale, terms = 2.0 * PI_SQUARED, mercer_terms(KernelKind.DETRENDED, 0.5, n).tolist()
-    estimates = [scale * total for total in _kahan_at(terms, counts)]
+        kind, t, scale = ((KernelKind.DEMEANED, 1.0, PI_SQUARED / 2.0) if proof == 2
+                          else (KernelKind.DETRENDED, 0.5, 2.0 * PI_SQUARED))
+        terms = mercer_terms(kind, t, max(counts)).tolist()
+        sums = [_kahan(islice(terms, count)) for count in counts]
+    estimates = [scale * total for total in sums]
     rows = tuple(ConvergenceRow(j_terms, estimate, abs(ZETA2 - estimate),
                                 proof_tail_bound(proof, j_terms))
                  for j_terms, estimate in zip(j_values, estimates))

@@ -1,8 +1,10 @@
 """Classical partial sums related to zeta(2) = pi^2/6.
 
-All sums are accumulated in ascending index order with Kahan-compensated
-summation, so results are deterministic and ulp-level identities between
-different routes to the same quantity actually hold.
+Every sum is ``math.fsum`` of its terms: correctly rounded (Shewchuk 1997),
+so results are deterministic and ulp-level identities between different
+routes to the same quantity actually hold.  A table sums each level's own
+prefix alone.  Levels above ``_MAX_TERMS`` are refused before any term is
+built.
 
 Index conventions:
 
@@ -16,10 +18,15 @@ Index conventions:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Sequence
+
+#: Largest level a partial sum or ``mercer.proof_report`` accepts.  At 1e7 a
+#: table's term list peaks near 0.4 GB and the Mercer routes' near 0.6 GB
+#: (route 2) and 1.1 GB (route 3, 2e7 terms); a scalar sum holds no list but
+#: takes 2-5 s.  Larger levels are refused before any term is built.
+_MAX_TERMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -50,33 +57,9 @@ class ResidualSequenceEntry:
             raise ValueError("residual must be finite")
 
 
-def _kahan_at(terms: Iterable[float], counts: Sequence[int]) -> list[float]:
-    """Kahan sums of the first n terms for each n in ``counts``, from one pass.
-
-    ``counts`` may be unsorted and may repeat; the sums come back in request
-    order.  Each sum is bit-identical to summing its first n terms alone,
-    because the running total and compensation after n terms depend only on
-    those terms.  A count past the end of ``terms`` gets the sum of all of
-    them; no term past the largest count is drawn.
-    """
-    it = iter(terms)
-    total = comp = 0.0
-    done = 0
-    sums = {}
-    for n in sorted(set(counts)):
-        for x in islice(it, n - done):
-            y = x - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        sums[n] = total
-        done = n
-    return [sums[n] for n in counts]
-
-
 def _kahan(terms: Iterable[float]) -> float:
-    """Sum ``terms`` in iteration order with Kahan compensation."""
-    return _kahan_at(terms, [sys.maxsize])[0]
+    """The correctly rounded sum of ``terms`` (``math.fsum``)."""
+    return math.fsum(terms)
 
 
 def _require_count(n: int, name: str = "n") -> None:
@@ -89,6 +72,11 @@ def _require_index(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be >= 0, got {n}")
 
 
+def _require_level(n: int, name: str = "n") -> None:
+    if n > _MAX_TERMS:
+        raise ValueError(f"{name} must be <= {_MAX_TERMS}, got {n}")
+
+
 def zeta_partial(s: float, n: int) -> PartialSum:
     """Partial sum of k^(-s) for k = 1..n.
 
@@ -97,21 +85,24 @@ def zeta_partial(s: float, n: int) -> PartialSum:
     if not s > 1.0:
         raise ValueError(f"s must be > 1, got {s}")
     _require_count(n)
+    _require_level(n)
     return PartialSum(n, _kahan(k ** -s for k in range(1, n + 1)))
 
 
 def _partial_table(term: Callable[[int], float], n_values: Sequence[int]) -> list[PartialSum]:
-    """Kahan sums of ``term(k)`` for k = 1..n at each n in ``n_values``, from one
-    walk; each value is bit-identical to the scalar sum of n terms."""
+    """Sums of ``term(k)`` for k = 1..n at each n in ``n_values``.  The terms are
+    built once and each level sums its own prefix, so each value is
+    bit-identical to the scalar sum of n terms."""
     if not n_values:
         raise ValueError("n_values must be non-empty")
     _require_count(min(n_values))
-    terms = (term(k) for k in range(1, max(n_values) + 1))
-    return [PartialSum(n, v) for n, v in zip(n_values, _kahan_at(terms, n_values))]
+    _require_level(max(n_values))
+    terms = [term(k) for k in range(1, max(n_values) + 1)]
+    return [PartialSum(n, _kahan(islice(terms, n))) for n in n_values]
 
 
 def zeta_partial_table(s: float, n_values: Sequence[int]) -> list[PartialSum]:
-    """``zeta_partial`` at several term counts, sharing one accumulation pass.
+    """``zeta_partial`` at several term counts, sharing one list of terms.
 
     Each returned value is bit-identical to the corresponding scalar call.
     """
@@ -135,23 +126,26 @@ def triangular_closed_form(n: int) -> float:
 def triangular_partial(n: int) -> PartialSum:
     """Term-by-term sum of 2/(k(k+1)) for k = 1..n; telescopes to 2."""
     _require_count(n)
+    _require_level(n)
     return PartialSum(n, _kahan(2.0 / (k * (k + 1)) for k in range(1, n + 1)))
 
 
 def triangular_partial_table(n_values: Sequence[int]) -> list[PartialSum]:
-    """``triangular_partial`` at several term counts in one accumulation pass."""
+    """``triangular_partial`` at several term counts, sharing one list of terms."""
     return _partial_table(lambda k: 2.0 / (k * (k + 1)), n_values)
 
 
 def odd_squares_partial(n: int) -> PartialSum:
     """Sum of 1/(2k+1)^2 for k = 0..n; converges to pi^2/8."""
     _require_index(n)
+    _require_level(n)
     return PartialSum(n + 1, _kahan((2 * k + 1) ** -2.0 for k in range(n + 1)))
 
 
 def leibniz_partial(n: int) -> PartialSum:
     """Alternating sum of (-1)^k/(2k+1) for k = 0..n; converges to pi/4."""
     _require_index(n)
+    _require_level(n)
     return PartialSum(
         n + 1,
         _kahan((1.0 if k % 2 == 0 else -1.0) / (2 * k + 1) for k in range(n + 1)),

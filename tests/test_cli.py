@@ -16,6 +16,7 @@ import pytest
 import klx.cli
 import klx.mercer
 import klx.nystrom
+import klx.series
 from klx import KernelKind, eigenfunction, eigenvalue
 from klx.cli import main
 
@@ -69,7 +70,8 @@ class TestVerify:
             raise AssertionError("terms built for a refused level")
 
         monkeypatch.setattr(klx.mercer, "mercer_terms", refuse)
-        monkeypatch.setattr(klx.mercer, "_kahan_at", refuse)
+        monkeypatch.setattr(klx.mercer, "_kahan", refuse)
+        monkeypatch.setattr(klx.series, "_kahan", refuse)
         code, out, err = run(capsys, "verify", "--proof", "all", "--J", "10,100000000000000")
         assert code == 2
         assert out == ""
@@ -268,6 +270,25 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--which", "zeta", "--N", "0")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("which", sorted(klx.cli._SERIES))
+    def test_huge_n_exits_2_before_any_term(self, which, capsys, monkeypatch):
+        def refuse(terms):
+            raise AssertionError("terms summed for a refused level")
+
+        monkeypatch.setattr(klx.series, "_kahan", refuse)
+        code, out, err = run(capsys, "series", "--which", which, "--N", "100000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("which", sorted(klx.cli._SERIES))
+    def test_level_at_cap_accepted(self, which, capsys, monkeypatch):
+        monkeypatch.setattr(klx.series, "_kahan", lambda terms: 0.0)
+        code, out, _ = run(capsys, "series", "--which", which, "--N",
+                           str(klx.series._MAX_TERMS), "--format", "csv")
+        assert code == 0
+        assert csv_rows(out)[0]["N"] == str(klx.series._MAX_TERMS)
 
     def test_unknown_series_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -20,7 +20,7 @@ from klx import (
     truncated_covariance,
     zeta_partial,
 )
-from klx import mercer
+from klx import mercer, series
 from klx.series import _kahan
 
 ALL_KINDS = list(KernelKind)
@@ -154,22 +154,30 @@ class TestConvergenceReport:
             raise AssertionError("terms built for a refused level")
 
         monkeypatch.setattr(mercer, "mercer_terms", refuse)
-        monkeypatch.setattr(mercer, "_kahan_at", refuse)
+        monkeypatch.setattr(mercer, "_kahan", refuse)
+        monkeypatch.setattr(series, "_kahan", refuse)
         with pytest.raises(ValueError, match=str(mercer._MAX_TERMS + 1)):
             proof_report(proof, [10, mercer._MAX_TERMS + 1])
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_accepts_level_at_cap(self, proof, monkeypatch):
-        summed = []
+        requested, sums = [], []
 
-        def stub_sums(terms, counts):
-            summed.extend(counts)
-            return [0.0] * len(counts)
+        def stub_terms(kind, t, n):
+            requested.append(n)
+            return np.zeros(0)
 
-        monkeypatch.setattr(mercer, "mercer_terms", lambda kind, t, n: np.zeros(0))
-        monkeypatch.setattr(mercer, "_kahan_at", stub_sums)
-        proof_report(proof, [mercer._MAX_TERMS])
-        assert summed == [mercer._MAX_TERMS * (2 if proof == 3 else 1)]
+        def stub_sum(terms):
+            sums.append(terms)
+            return 0.0
+
+        monkeypatch.setattr(mercer, "mercer_terms", stub_terms)
+        monkeypatch.setattr(mercer, "_kahan", stub_sum)
+        monkeypatch.setattr(series, "_kahan", stub_sum)
+        report = proof_report(proof, [mercer._MAX_TERMS])
+        assert [row.j_terms for row in report.rows] == [mercer._MAX_TERMS]
+        assert len(sums) == 1
+        assert requested == ([] if proof == 1 else [mercer._MAX_TERMS * (2 if proof == 3 else 1)])
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_levels_match_per_level_sums_in_request_order(self, proof):

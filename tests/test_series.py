@@ -27,7 +27,8 @@ from klx import (
     zeta_partial,
     zeta_partial_table,
 )
-from klx.series import _kahan, _kahan_at
+from klx import series
+from klx.series import _MAX_TERMS, _kahan
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -80,24 +81,35 @@ class TestZetaPartial:
         assert [e.n_terms for e in table] == [100, 3]
 
 
-class TestKahanWalker:
-    # Each small term is below half an ulp of the total, so only the carried
-    # compensation makes it count: a walker that drops it at a level drifts.
-    TERMS = [1.0] + [1e-16] * 9
+class TestSummation:
+    def test_keeps_a_term_that_compensation_loses(self):
+        # Kahan's carried correction cancels against -1e16 and returns 0.0.
+        assert _kahan([1e16, 1.0, -1e16]) == 1.0
 
-    def test_each_count_matches_its_own_sum_in_request_order(self):
-        counts = [7, 2, 7, 10, 0, 4, 50]
-        sums = _kahan_at(self.TERMS, counts)
-        assert sums == [_kahan(self.TERMS[:n]) for n in counts]
+    @given(st.lists(st.floats(min_value=-1e200, max_value=1e200)))
+    @settings(max_examples=200, deadline=None)
+    def test_correctly_rounded_against_exact_rational_sum(self, xs):
+        assert _kahan(xs) == float(sum(map(Fraction, xs)))
 
-    def test_draws_no_term_past_the_largest_count(self):
-        drawn = []
-        terms = (drawn.append(x) or x for x in self.TERMS)
-        _kahan_at(terms, [3, 1])
-        assert len(drawn) == 3
 
-    def test_kahan_sums_a_generator(self):
-        assert _kahan(x for x in self.TERMS) == _kahan_at(self.TERMS, [10])[0]
+class TestLevelCap:
+    @pytest.mark.parametrize("partial", [
+        lambda n: zeta_partial(2.0, n), triangular_partial, odd_squares_partial, leibniz_partial,
+    ])
+    def test_refuses_level_just_above_cap_before_any_term(self, partial, monkeypatch):
+        def refuse(terms):
+            raise AssertionError("terms summed for a refused level")
+
+        monkeypatch.setattr(series, "_kahan", refuse)
+        with pytest.raises(ValueError, match=str(_MAX_TERMS + 1)):
+            partial(_MAX_TERMS + 1)
+
+    def test_table_refuses_level_above_cap_before_any_term(self):
+        def refuse(k):
+            raise AssertionError("term built for a refused level")
+
+        with pytest.raises(ValueError, match=str(_MAX_TERMS + 1)):
+            series._partial_table(refuse, [10, _MAX_TERMS + 1])
 
 
 class TestTailBounds:
