@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _MAX_TERMS, _kahan, _require_count, _require_level, odd_squares_partial
+from .series import _kahan, _require_count, _require_level, odd_squares_partial
 
 ZETA2 = PI_SQUARED / 6.0
 

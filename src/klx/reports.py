@@ -26,15 +26,12 @@ def format_value(value) -> str:
 
 
 def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return f"{value:.17g}"
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(str(value))
+    """format_value, except that JSON has no inf or nan and quotes strings."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    return format_value(value)
 
 
 def to_csv_text(table: Table) -> str:

@@ -1,17 +1,16 @@
 """Monte Carlo simulation of the four processes from truncated expansions.
 
 A path is X(t) = sum_{j<=J} lambda_j^(-1/2) f_j(t) Z_ij with independent
-standard normal Z_ij.  Normal variates come from Box-Muller over per-path
-Philox counter-based streams keyed by (seed, path index), so a path's normals
-do not depend on the ensemble size or on the block that holds it.  Each
-path's stream comes from one generator per ensemble, re-keyed before the
-path: Philox output depends only on its key and counter, so this draws the
-same bytes as a fresh generator per path without building one.  Paths are
-projected in fixed blocks of ``_BLOCK_PATHS``, because BLAS may round a row
-differently in a matmul of another shape; identical configs therefore give
-identical bytes.  Statistical checks compare empirical covariances against the
-truncated target sum_{j<=J} f_j(s) f_j(t) / lambda_j, which isolates Monte
-Carlo error from truncation bias.
+standard normal Z_ij.  The normals of an ensemble come from one Philox
+counter-based stream keyed by the seed (key seed * 2**64), drawn in path
+order with J normals per path, so a path's normals do not depend on the
+ensemble size or on the block that holds it.  Paths are projected in fixed
+blocks of ``_BLOCK_PATHS``, because BLAS may round a row differently in a
+matmul of another shape; identical configs therefore give identical bytes.
+The blocks also bound the memory the normals take.  Statistical checks compare
+empirical covariances against the truncated target
+sum_{j<=J} f_j(s) f_j(t) / lambda_j, which isolates Monte Carlo error from
+truncation bias.
 """
 
 from __future__ import annotations
@@ -92,59 +91,16 @@ class CovarianceTestReport:
     message: str
 
 
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
-
-
-def _rekey(gen: np.random.Generator, seed: int, path_index: int) -> None:
-    """Point gen at the start of one path's stream.
-
-    The key is seed * 2**64 + 2 * path_index as (low, high) words; the counter
-    restarts at zero and the buffer is emptied, so no draw from the previous
-    path leaks into this one.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": _ZERO_WORDS,
-            "key": np.array([2 * path_index, seed], dtype=np.uint64),
-        },
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _path_normals(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normals for one path from the stream gen was re-keyed to.
-
-    The position within the stream indexes the expansion term.  Box-Muller on
-    uniforms mapped into (0, 1] so the log never sees zero.
-    """
-    pairs = (count + 1) // 2
-    u = gen.random(2 * pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
-    angle = (2.0 * np.pi) * u[pairs:]
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    return z[:count]
-
-
 def sample_paths(config: SimulationConfig) -> PathEnsemble:
     """Generate the ensemble; bit-identical for identical configs."""
     j_max = config.truncation
     basis = eigenfunction_matrix(config.kind, j_max, config.grid)
     basis = basis / np.sqrt(eigenvalues(config.kind, j_max))[:, None]
     values = np.empty((config.n_paths, config.grid.size))
-    gen = np.random.Generator(np.random.Philox(key=0))
+    gen = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED))
     for start in range(0, config.n_paths, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, config.n_paths)
-        z = np.empty((stop - start, j_max))
-        for i in range(start, stop):
-            _rekey(gen, config.seed, i)
-            z[i - start] = _path_normals(gen, j_max)
-        values[start:stop] = z @ basis
+        values[start:stop] = gen.standard_normal((stop - start, j_max)) @ basis
 
     if not np.isfinite(values).all():
         raise RuntimeError("simulation produced non-finite values")

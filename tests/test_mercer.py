@@ -156,8 +156,8 @@ class TestConvergenceReport:
         monkeypatch.setattr(mercer, "mercer_terms", refuse)
         monkeypatch.setattr(mercer, "_kahan", refuse)
         monkeypatch.setattr(series, "_kahan", refuse)
-        with pytest.raises(ValueError, match=str(mercer._MAX_TERMS + 1)):
-            proof_report(proof, [10, mercer._MAX_TERMS + 1])
+        with pytest.raises(ValueError, match=str(series._MAX_TERMS + 1)):
+            proof_report(proof, [10, series._MAX_TERMS + 1])
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_accepts_level_at_cap(self, proof, monkeypatch):
@@ -174,10 +174,10 @@ class TestConvergenceReport:
         monkeypatch.setattr(mercer, "mercer_terms", stub_terms)
         monkeypatch.setattr(mercer, "_kahan", stub_sum)
         monkeypatch.setattr(series, "_kahan", stub_sum)
-        report = proof_report(proof, [mercer._MAX_TERMS])
-        assert [row.j_terms for row in report.rows] == [mercer._MAX_TERMS]
+        report = proof_report(proof, [series._MAX_TERMS])
+        assert [row.j_terms for row in report.rows] == [series._MAX_TERMS]
         assert len(sums) == 1
-        assert requested == ([] if proof == 1 else [mercer._MAX_TERMS * (2 if proof == 3 else 1)])
+        assert requested == ([] if proof == 1 else [series._MAX_TERMS * (2 if proof == 3 else 1)])
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_levels_match_per_level_sums_in_request_order(self, proof):

@@ -1,6 +1,7 @@
 """Smoke tests of the study scripts and the benchmark tracer, each run as its
-own process."""
+own process, and a static check that package modules use what they import."""
 
+import ast
 import csv
 import os
 import pathlib
@@ -16,6 +17,20 @@ def run_script(path, *args):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / path), *args],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def unused_imports(source):
+    """Names a module imports but never reads, as (line, name)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in ("annotations", "*"):
+                    imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
 def csv_row_count(path):
@@ -46,3 +61,19 @@ def test_benchmark_tracer_installs(tmp_path):
     result = run_script("benchmarks/tracer.py", str(tmp_path / "spans.json"), "t", "--",
                         "series", "--which", "zeta", "--N", "10")
     assert result.returncode == 0, result.stderr
+
+
+def test_package_modules_have_no_unused_imports():
+    # __init__.py imports to re-export; every other module must read what it imports.
+    found = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted((ROOT / "src" / "klx").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert not {name: hits for name, hits in found.items() if hits}
+
+
+def test_unused_import_guard_flags_a_dead_name():
+    source = ("from __future__ import annotations\n"
+              "import math, os.path\nfrom x import a, b as c\nc(math.pi)\n")
+    assert unused_imports(source) == [(2, "os"), (3, "a")]

@@ -15,6 +15,8 @@ from klx import (
     KernelKind,
     SimulationConfig,
     covariance_test,
+    eigenfunction_matrix,
+    eigenvalues,
     empirical_covariance,
     mercer_partial,
     read_klx1,
@@ -23,7 +25,7 @@ from klx import (
     write_ensemble_csv,
     write_ensemble_klx1,
 )
-from klx.simulate import PathEnsemble, _rekey, _write_atomically
+from klx.simulate import PathEnsemble, _write_atomically
 
 
 def config(kind=KernelKind.WIENER, truncation=64, n_paths=512, grid=None, seed=42):
@@ -93,20 +95,17 @@ class TestSampling:
         assert np.array_equal(whole[0], blocked[0])
         np.testing.assert_allclose(blocked[1], whole[1], rtol=0.0, atol=1e-14)
 
-    def test_rekeyed_stream_matches_fresh_generator(self):
-        # One generator serves every draw, so a buffer left over from the
-        # previous path would leak into the next one.
-        gen = np.random.Generator(np.random.Philox(key=0))
-        for seed in (0, 7, 2**64 - 1):
-            for path_index in (0, 1, 12345):
-                for count in (1, 2, 3, 5, 64, 2000):
-                    _rekey(gen, seed, path_index)
-                    fresh = np.random.Generator(np.random.Philox(key=seed * 2**64 + 2 * path_index))
-                    assert np.array_equal(gen.random(count), fresh.random(count)), (
-                        seed, path_index, count)
+    def test_normals_are_one_seed_keyed_stream_in_path_order(self, monkeypatch):
+        # With J = 1 the projection is one product per entry, so the bytes must
+        # equal one stream keyed seed * 2**64, drawn straight across blocks of 7.
+        cfg = config(n_paths=50, truncation=1)
+        monkeypatch.setattr("klx.simulate._BLOCK_PATHS", 7)
+        basis = eigenfunction_matrix(cfg.kind, 1, cfg.grid) / math.sqrt(eigenvalues(cfg.kind, 1)[0])
+        stream = np.random.Generator(np.random.Philox(key=cfg.seed * 2**64))
+        assert np.array_equal(sample_paths(cfg).values, stream.standard_normal((50, 1)) @ basis)
 
     def test_paths_are_prefix_stable_in_path_count(self):
-        # per-path streams: growing the ensemble must not change earlier paths
+        # one stream drawn in path order: growing the ensemble must not change earlier paths
         small = sample_paths(config(n_paths=100))
         large = sample_paths(config(n_paths=300))
         assert np.array_equal(small.values, large.values[:100])
