@@ -8,10 +8,7 @@ reproducible Monte Carlo simulation of truncated expansions.
 """
 
 from .eigen import (
-    BesselRoot,
-    bessel_root,
     bessel_roots,
-    capital_lambda,
     eigenfunction,
     eigenfunction_matrix,
     eigenvalue,
@@ -23,7 +20,6 @@ from .mercer import (
     ConvergenceReport,
     ConvergenceRow,
     basel_estimate,
-    basel_estimate_route1_literal,
     mercer_partial,
     mercer_terms,
     proof_report,
@@ -45,7 +41,6 @@ from .series import (
     bernoulli_residual,
     estermann_residual,
     leibniz_partial,
-    odd_split_gap,
     odd_squares_partial,
     triangular_closed_form,
     triangular_partial,
@@ -71,7 +66,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselRoot",
     "ConvergenceReport",
     "ConvergenceRow",
     "CovarianceCheck",
@@ -89,11 +83,8 @@ __all__ = [
     "SimulationConfig",
     "ZETA2",
     "basel_estimate",
-    "basel_estimate_route1_literal",
     "bernoulli_residual",
-    "bessel_root",
     "bessel_roots",
-    "capital_lambda",
     "compare_eigenpairs",
     "covariance_test",
     "eigenfunction",
@@ -111,7 +102,6 @@ __all__ = [
     "mercer_partial",
     "mercer_terms",
     "nystrom_solve",
-    "odd_split_gap",
     "odd_squares_partial",
     "proof_report",
     "proof_tail_bound",

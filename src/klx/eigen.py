@@ -24,11 +24,11 @@ detrended terms identically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelKind, _check_unit
+from .series import _require_count
 
 PI = math.pi
 PI_SQUARED = math.pi**2
@@ -62,14 +62,6 @@ _SPECTRA = {
 }
 
 
-@dataclass(frozen=True)
-class BesselRoot:
-    """The n-th positive root of sin z - z cos z (order-3/2 Bessel zero)."""
-
-    n: int
-    z: float
-
-
 def _solve_roots(n_max: int) -> np.ndarray:
     """Roots 1..n_max of g(z) = sin z - z cos z by Newton's method.
 
@@ -90,8 +82,7 @@ _roots_cache = np.empty(0)
 def bessel_roots(n_max: int) -> np.ndarray:
     """First n_max roots as a read-only array (cached, grown on demand)."""
     global _roots_cache
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _require_count(n_max, "n_max")
     if n_max > _roots_cache.size:
         roots = _solve_roots(n_max)
         roots.setflags(write=False)
@@ -99,21 +90,9 @@ def bessel_roots(n_max: int) -> np.ndarray:
     return _roots_cache[:n_max]
 
 
-def bessel_root(n: int) -> BesselRoot:
-    """The n-th positive root, n >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return BesselRoot(n, float(bessel_roots(n)[n - 1]))
-
-
-def _require_j(j: int) -> None:
-    if j < 1:
-        raise ValueError(f"eigenpair index must be >= 1, got {j}")
-
-
 def eigenvalues(kind: KernelKind, j_max: int) -> np.ndarray:
     """Eigenvalues for indices 1..j_max, strictly increasing."""
-    _require_j(j_max)
+    _require_count(j_max, "eigenpair index")
     offset, _ = _SPECTRA[kind]
     lam = (np.arange(1, j_max + 1, dtype=float) + offset) ** 2 * PI_SQUARED
     if kind is KernelKind.DETRENDED and j_max >= 2:
@@ -123,7 +102,7 @@ def eigenvalues(kind: KernelKind, j_max: int) -> np.ndarray:
 
 def eigenvalue(kind: KernelKind, j: int) -> float:
     """Eigenvalue of index j >= 1."""
-    _require_j(j)
+    _require_count(j, "eigenpair index")
     return float(eigenvalues(kind, j)[j - 1])
 
 
@@ -133,7 +112,7 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t) -> np.ndarray:
     ``t`` is assumed to lie in [0, 1]; validation happens in the scalar
     entry point and in grid constructors.
     """
-    _require_j(j_max)
+    _require_count(j_max, "eigenpair index")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     offset, trig = _SPECTRA[kind]
     out = SQRT2 * trig((np.arange(1, j_max + 1, dtype=float)[:, None] + offset) * t)
@@ -148,20 +127,7 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t) -> np.ndarray:
 
 def eigenfunction(kind: KernelKind, j: int, t: float) -> float:
     """Eigenfunction f_j evaluated at a single t in [0, 1]."""
-    _require_j(j)
+    _require_count(j, "eigenpair index")
     t = _check_unit(t, "t")
     return float(eigenfunction_matrix(kind, j, np.array([t]))[j - 1, 0])
 
-
-def capital_lambda(j: int) -> float:
-    """Amplitude constant 2 / sin(sqrt(lambda_j)/2)^2 of the even detrended
-    eigenfunctions; j must be even."""
-    if j < 2 or j % 2 != 0:
-        raise ValueError(f"j must be even and >= 2, got {j}")
-    half_sqrt_lambda = 0.5 * math.sqrt(eigenvalue(KernelKind.DETRENDED, j))
-    s = math.sin(half_sqrt_lambda)
-    if s == 0.0:
-        # The roots are never integer multiples of pi, so a vanishing sine
-        # means the eigenvalue is corrupted.
-        raise ValueError(f"sin(sqrt(lambda)/2) vanished for j={j}; eigenvalue corrupted")
-    return 2.0 / (s * s)

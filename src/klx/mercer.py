@@ -73,25 +73,13 @@ def truncated_covariance(kind: KernelKind, s: float, t: float, j_max: int) -> fl
     _require_count(j_max, "j_max")
     s = _check_unit(s, "s")
     t = _check_unit(t, "t")
-    fs = eigenfunction_matrix(kind, j_max, s)[:, 0]
-    ft = eigenfunction_matrix(kind, j_max, t)[:, 0]
+    fs, ft = eigenfunction_matrix(kind, j_max, [s, t]).T
     return _kahan((fs * ft / eigenvalues(kind, j_max)).tolist())
 
 
 def basel_estimate(proof: int, j_terms: int) -> float:
     """zeta(2) estimate from one route at j_terms terms: one ``proof_report`` row."""
     return proof_report(proof, [j_terms]).rows[0].estimate
-
-
-def basel_estimate_route1_literal(j_terms: int) -> float:
-    """Route 1 computed from the literal Mercer sum at t = 1.
-
-    Equals ``basel_estimate(1, j_terms)`` to a few ulps; kept as a
-    cross-check that the rearranged series and the eigenfunction route
-    agree.
-    """
-    _require_count(j_terms, "j_terms")
-    return (PI_SQUARED / 6.0) * mercer_partial(KernelKind.WIENER, 1.0, j_terms)
 
 
 def proof_tail_bound(proof: int, j_terms: int) -> float:

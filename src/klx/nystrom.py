@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import eigenfunction_matrix, eigenvalues
-from .kernels import KernelKind, gram, kernel_matrix
+from .kernels import KernelKind, gram
 from .quadrature import gauss_legendre_01
+from .series import _require_count
 
 #: Frozen relative-eigenvalue tolerance for oracle comparisons at >= 500 nodes.
 EIGENVALUE_RTOL = 1e-3
@@ -69,22 +70,6 @@ class NystromSolution:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def interpolate(self, index: int, t) -> np.ndarray:
-        """Continuous Nystrom extension of eigenvector ``index`` to points t.
-
-        Uses f(t) = lambda * sum_i w_i k(t_i, t) v_i with lambda = 1/mu.
-        """
-        if not 0 <= index < len(self.eigenvalues):
-            raise ValueError(
-                f"eigenvector index must lie in [0, {len(self.eigenvalues)}), got {index}"
-            )
-        mu = self.eigenvalues[index]
-        if mu <= 0.0:
-            raise ValueError("cannot extend an eigenvector with non-positive eigenvalue")
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        columns = kernel_matrix(self.kind, self.nodes, t)
-        return (1.0 / mu) * (self.weights * self.eigenvectors[:, index]) @ columns
-
 
 def _top_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top k eigenvalues of the symmetric matrix a, descending, and their vectors.
@@ -120,8 +105,7 @@ def nystrom_solve(kind: KernelKind, n_nodes: int, n_eigs: int) -> NystromSolutio
     Returns the top n_eigs operator eigenvalues and weight-normalized
     eigenvectors.  Requires n_nodes >= n_eigs >= 1 and 16 <= n_nodes <= 4096.
     """
-    if n_eigs < 1:
-        raise ValueError(f"n_eigs must be >= 1, got {n_eigs}")
+    _require_count(n_eigs, "n_eigs")
     if not _MIN_NODES <= n_nodes <= _MAX_NODES:
         raise ValueError(f"n_nodes must lie in [{_MIN_NODES}, {_MAX_NODES}], got {n_nodes}")
     if n_eigs > n_nodes:

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .series import _require_count
+
 _NEWTON_STEPS = 3
 
 
@@ -40,8 +42,7 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     Weights sum to 1 up to rounding and are exactly symmetric.  Returned
     arrays are read-only and cached per node count.
     """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    _require_count(n, "node count")
     k = np.arange(1, (n + 1) // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     for _ in range(_NEWTON_STEPS):

@@ -167,12 +167,3 @@ def estermann_residual(n: int) -> ResidualSequenceEntry:
     q = leibniz_partial(n).value
     return ResidualSequenceEntry(n, odd_squares_partial(n).value - 2.0 * q * q)
 
-
-def odd_split_gap(n: int) -> float:
-    """Gap (3/4) * zeta_partial(2, 2n+1) - odd_squares_partial(n).
-
-    Splitting indices into odd and even shows both sides converge to pi^2/8,
-    so the gap vanishes; empirically |gap| <= 1/(2n).
-    """
-    _require_count(n)
-    return 0.75 * zeta_partial(2.0, 2 * n + 1).value - odd_squares_partial(n).value

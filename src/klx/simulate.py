@@ -28,6 +28,7 @@ import numpy as np
 from .eigen import eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _validated_grid
 from .mercer import truncated_covariance
+from .series import _require_count
 
 KLX1_MAGIC = b"KLX1"
 
@@ -46,8 +47,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        _require_count(self.truncation, "truncation")
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if not 0 <= self.seed < _MAX_SEED:
@@ -168,8 +168,7 @@ def covariance_test(
     are excluded.  If no such column exists the test is skipped and counts as
     a pass.
     """
-    if pair_count < 1:
-        raise ValueError(f"pair_count must be >= 1, got {pair_count}")
+    _require_count(pair_count, "pair_count")
     if not (math.isfinite(z_threshold) and z_threshold > 0.0):
         raise ValueError(f"z_threshold must be finite and > 0, got {z_threshold}")
     config = ensemble.config
@@ -257,7 +256,7 @@ def read_klx1(path: str) -> np.ndarray:
         if len(header) != 16:
             raise ValueError("truncated KLX1 header: expected 16 bytes of dimensions")
         n_paths, n_grid = struct.unpack("<QQ", header)
-        data = np.frombuffer(handle.read(), dtype="<f8")
-    if data.size != n_paths * n_grid:
+        payload = handle.read()
+    if len(payload) != 8 * n_paths * n_grid:
         raise ValueError("KLX1 payload size does not match header dimensions")
-    return data.reshape(n_paths, n_grid).copy()
+    return np.frombuffer(payload, dtype="<f8").reshape(n_paths, n_grid).copy()

@@ -17,7 +17,7 @@ from klx import (
     ZETA2,
     KernelKind,
     basel_estimate,
-    bessel_root,
+    bessel_roots,
     compare_eigenpairs,
     covariance_test,
     eigenfunction_matrix,
@@ -101,7 +101,7 @@ def test_c05_bessel_roots():
     residual_ok = True
     bracket_ok = True
     for n in range(1, 21):
-        z = bessel_root(n).z
+        z = bessel_roots(n)[n - 1]
         residual_ok &= abs(math.sin(z) - z * math.cos(z)) <= 1e-10
         bracket_ok &= n * math.pi < z < (n + 1) * math.pi
     # independent oracle: bisection on tan z = z over (pi, 3*pi/2)
@@ -112,7 +112,7 @@ def test_c05_bessel_roots():
             lo = mid
         else:
             hi = mid
-    oracle_ok = abs(bessel_root(1).z - 0.5 * (lo + hi)) <= 1e-10
+    oracle_ok = abs(bessel_roots(1)[0] - 0.5 * (lo + hi)) <= 1e-10
     report(
         "C5",
         "roots 1..20: residual <= 1e-10, bracket (n pi, (n+1) pi), "

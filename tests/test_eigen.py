@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from klx import (
     KernelKind,
-    bessel_root,
     bessel_roots,
-    capital_lambda,
     eigenfunction,
     eigenfunction_matrix,
     eigenvalue,
@@ -57,13 +55,13 @@ def tan_fixed_point_oracle(n: int) -> float:
 class TestBesselRoots:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_residual_and_bracket(self, n):
-        z = bessel_root(n).z
+        z = bessel_roots(n)[n - 1]
         assert abs(math.sin(z) - z * math.cos(z)) <= 1e-10
         assert n * PI < z < (n + 1) * PI
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 10**3, 10**5, 10**6])
     def test_matches_tan_fixed_point_oracle(self, n):
-        assert abs(bessel_root(n).z - tan_fixed_point_oracle(n)) <= 1e-10
+        assert abs(bessel_roots(n)[n - 1] - tan_fixed_point_oracle(n)) <= 1e-10
 
     def test_every_root_bracketed_and_increasing(self):
         # Newton keeps no bracket, so check the one every root must satisfy:
@@ -77,30 +75,23 @@ class TestBesselRoots:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_mpmath_bessel_zero(self, n):
         z_mp = float(mpmath.besseljzero(mpmath.mpf(3) / 2, n))
-        assert abs(bessel_root(n).z - z_mp) <= 1e-12
+        assert abs(bessel_roots(n)[n - 1] - z_mp) <= 1e-12
 
     def test_first_two_roots_frozen(self):
-        assert bessel_root(1).z == pytest.approx(Z1, abs=1e-12)
-        assert bessel_root(2).z == pytest.approx(7.725251836937707, abs=1e-12)
+        assert bessel_roots(1)[0] == pytest.approx(Z1, abs=1e-12)
+        assert bessel_roots(2)[1] == pytest.approx(7.725251836937707, abs=1e-12)
 
     @given(st.integers(min_value=1, max_value=500))
     @settings(max_examples=40, deadline=None)
     def test_approaches_half_integer_multiple_from_below(self, n):
-        z = bessel_root(n).z
+        z = bessel_roots(n)[n - 1]
         upper = (2 * n + 1) * PI / 2.0
         assert n * PI < z < upper
         # the gap to (2n+1) pi/2 shrinks with n
-        z_next = bessel_root(n + 1).z
+        z_next = bessel_roots(n + 1)[n]
         assert (2 * (n + 1) + 1) * PI / 2.0 - z_next < upper - z
 
-    def test_vector_and_scalar_agree(self):
-        roots = bessel_roots(25)
-        for n in (1, 10, 25):
-            assert roots[n - 1] == bessel_root(n).z
-
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            bessel_root(0)
         with pytest.raises(ValueError):
             bessel_roots(0)
 
@@ -118,7 +109,7 @@ class TestEigenvalues:
     def test_detrended_branches(self):
         assert eigenvalue(KernelKind.DETRENDED, 1) == pytest.approx(4.0 * PI**2, rel=1e-15)
         assert eigenvalue(KernelKind.DETRENDED, 2) == pytest.approx(FOUR_Z1_SQUARED, rel=1e-14)
-        z1 = bessel_root(1).z
+        z1 = bessel_roots(1)[0]
         assert eigenvalue(KernelKind.DETRENDED, 2) == 4.0 * z1 * z1
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -145,8 +136,11 @@ class TestEigenfunctions:
         assert eigenfunction(KernelKind.WIENER, 1, 1.0) == math.sqrt(2.0)
 
     def test_detrended_even_vanishes_at_center(self):
+        # Route 3 drops these terms at t = 1/2, so every one must be an exact zero.
         assert eigenfunction(KernelKind.DETRENDED, 2, 0.5) == 0.0
         assert eigenfunction(KernelKind.DETRENDED, 8, 0.5) == 0.0
+        f = eigenfunction_matrix(KernelKind.DETRENDED, 2 * 10**4, [0.5])
+        assert np.all(f[1::2] == 0.0)
 
     @pytest.mark.parametrize("j", range(1, 8))
     def test_demeaned_alternates_at_one(self, j):
@@ -157,6 +151,8 @@ class TestEigenfunctions:
     def test_bridge_pinned_exactly(self, j):
         assert eigenfunction(KernelKind.BRIDGE, j, 0.0) == 0.0
         assert eigenfunction(KernelKind.BRIDGE, j, 1.0) == 0.0
+        # The simulator's pinned end columns need every index to vanish exactly.
+        assert np.all(eigenfunction_matrix(KernelKind.BRIDGE, 2 * 10**4, [0.0, 1.0]) == 0.0)
 
     def test_detrended_parity_about_center(self):
         for u in np.linspace(0.0, 0.5, 9):
@@ -200,23 +196,27 @@ class TestOrthonormality:
 
 
 class TestCapitalLambda:
+    """The squared peak of the even detrended eigenfunction f_j, at
+    t = 1/2 + pi/(4 z_n) with n = j/2, is the amplitude constant
+    Lambda_j = 2 / sin(z_n)^2."""
+
+    @staticmethod
+    def squared_peak(j):
+        z = bessel_roots(j // 2)[-1]
+        peak = eigenfunction_matrix(KernelKind.DETRENDED, j, [0.5 + PI / (4.0 * z)])[j - 1, 0]
+        return peak**2
+
     def test_frozen_value(self):
-        assert capital_lambda(2) == pytest.approx(LAMBDA_2, rel=1e-13)
+        assert self.squared_peak(2) == pytest.approx(LAMBDA_2, rel=1e-13)
 
     @pytest.mark.parametrize("j", [2, 4, 6, 12, 20])
     def test_exceeds_two(self, j):
-        assert capital_lambda(j) > 2.0
+        assert self.squared_peak(j) > 2.0
 
     @pytest.mark.parametrize("j", [2, 4, 6, 12, 20])
     def test_reduction_identity(self, j):
         z = 0.5 * math.sqrt(eigenvalue(KernelKind.DETRENDED, j))
-        assert capital_lambda(j) * math.sin(z) ** 2 / 2.0 == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_odd_or_small(self):
-        with pytest.raises(ValueError):
-            capital_lambda(3)
-        with pytest.raises(ValueError):
-            capital_lambda(0)
+        assert self.squared_peak(j) * math.sin(z) ** 2 / 2.0 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFredholmConsistency:

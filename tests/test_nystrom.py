@@ -9,7 +9,6 @@ import klx.nystrom
 from klx import (
     KernelKind,
     compare_eigenpairs,
-    eigenfunction_matrix,
     eigenvalue,
     kernel_value,
     nystrom_solve,
@@ -173,25 +172,3 @@ class TestComparison:
         comparison = compare_eigenpairs(KernelKind.DEMEANED, 5, 400)
         assert max(row.max_deviation for row in comparison.rows) <= 1e-3
 
-
-class TestInterpolation:
-    def test_extension_matches_analytic_off_nodes(self):
-        solution = nystrom_solve(KernelKind.WIENER, 300, 2)
-        t = np.array([0.111, 0.5321, 0.9017])
-        for idx in range(2):
-            extended = solution.interpolate(idx, t)
-            analytic = eigenfunction_matrix(KernelKind.WIENER, idx + 1, t)[idx]
-            sign = 1.0 if np.dot(extended, analytic) >= 0 else -1.0
-            assert np.max(np.abs(sign * extended - analytic)) <= 1e-3
-
-    @pytest.mark.parametrize("index", [-1, 2])
-    def test_index_outside_the_kept_modes_is_refused(self, index):
-        solution = nystrom_solve(KernelKind.WIENER, 100, 2)
-        with pytest.raises(ValueError, match="index"):
-            solution.interpolate(index, 0.5)
-
-    def test_extension_reproduces_node_values(self):
-        solution = nystrom_solve(KernelKind.BRIDGE, 200, 1)
-        probe = solution.nodes[::40]
-        extended = solution.interpolate(0, probe)
-        assert np.max(np.abs(extended - solution.eigenvectors[::40, 0])) <= 1e-8

@@ -1,5 +1,6 @@
 """Smoke tests of the study scripts and the benchmark tracer, each run as its
-own process, and a static check that package modules use what they import."""
+own process, and static checks that package modules use what they import and
+that the package exports exactly what it imports."""
 
 import ast
 import csv
@@ -31,6 +32,25 @@ def unused_imports(source):
                     imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def export_mismatches(source):
+    """How a package's ``__all__`` departs from sorted, unique and equal to the
+    names the package imports, as a list of messages."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"])
+    found = []
+    if exported != sorted(exported):
+        found.append("__all__ is not sorted")
+    found += [f"exported twice: {name}" for name in sorted(set(exported))
+              if exported.count(name) > 1]
+    found += [f"exported, not imported: {name}" for name in sorted(set(exported) - imported)]
+    found += [f"imported, not exported: {name}" for name in sorted(imported - set(exported))]
+    return found
 
 
 def csv_row_count(path):
@@ -77,3 +97,17 @@ def test_unused_import_guard_flags_a_dead_name():
     source = ("from __future__ import annotations\n"
               "import math, os.path\nfrom x import a, b as c\nc(math.pi)\n")
     assert unused_imports(source) == [(2, "os"), (3, "a")]
+
+
+def test_package_exports_match_imports():
+    assert export_mismatches((ROOT / "src" / "klx" / "__init__.py").read_text()) == []
+
+
+def test_export_guard_flags_a_dangling_name():
+    source = "from .a import x, y\nfrom .b import w\n__all__ = ['y', 'x', 'x', 'v']\n"
+    assert export_mismatches(source) == [
+        "__all__ is not sorted",
+        "exported twice: x",
+        "exported, not imported: v",
+        "imported, not exported: w",
+    ]

@@ -243,18 +243,20 @@ class TestSerialization:
         assert np.array_equal(recovered, ensemble.values)
 
     @pytest.mark.parametrize(
-        "raw",
+        ("raw", "message"),
         [
-            b"NOPE" + b"\x00" * 16,
-            b"KLX1" + b"\x00" * 7,
-            b"KLX1" + struct.pack("<QQ", 2, 3) + np.zeros(5, dtype="<f8").tobytes(),
+            (b"NOPE" + b"\x00" * 16, "bad magic"),
+            (b"KLX1" + b"\x00" * 7, "truncated KLX1 header"),
+            (b"KLX1" + struct.pack("<QQ", 2, 3) + np.zeros(5, dtype="<f8").tobytes(),
+             "payload size"),
+            (b"KLX1" + struct.pack("<QQ", 1, 1) + b"\x00" * 9, "payload size"),
         ],
-        ids=["bad-magic", "short-header", "short-payload"],
+        ids=["bad-magic", "short-header", "short-payload", "ragged-payload"],
     )
-    def test_klx1_rejects_bad_magic(self, tmp_path, raw):
+    def test_klx1_rejects_bad_magic(self, tmp_path, raw, message):
         path = tmp_path / "junk.klx"
         path.write_bytes(raw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             read_klx1(str(path))
 
     @pytest.mark.parametrize("existing", [None, b"old contents"], ids=["absent", "existing"])
