@@ -112,11 +112,8 @@ def _cmd_simulate(args) -> int:
     ensemble = sample_paths(config)
     report = covariance_test(ensemble, pair_count=args.pairs, z_threshold=args.z_threshold)
     if args.out:
-        out_format = args.out_format
-        if out_format == "auto":
-            out_format = "csv" if args.out.endswith(".csv") else "klx1"
         try:
-            if out_format == "csv":
+            if args.out.endswith(".csv"):
                 write_ensemble_csv(ensemble, args.out)
             else:
                 write_ensemble_klx1(ensemble, args.out)
@@ -200,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True, help="number of paths")
     p.add_argument("--grid-points", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write the ensemble to this path")
-    p.add_argument("--out-format", choices=("auto", "csv", "klx1"), default="auto")
+    p.add_argument("--out", default=None,
+                   help="write the ensemble to this path: CSV if it ends in .csv, else KLX1")
     p.add_argument("--pairs", type=int, default=50, help="covariance pairs to test")
     p.add_argument("--z-threshold", type=float, default=4.0)
     p.add_argument("--format", choices=_FORMATS, default="pretty")

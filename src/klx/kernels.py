@@ -97,15 +97,14 @@ def kernel_matrix(kind: KernelKind, x, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix over an ordered grid in [0, 1]."""
+    """Read-only symmetric matrix of the kernel at each pair of points given to ``gram``."""
 
-    kind: KernelKind
-    grid: np.ndarray
     entries: np.ndarray
 
 
 def _validated_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
+    """A float copy of grid, so freezing it leaves the caller's array writeable."""
+    g = np.array(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a non-empty 1-D sequence")
     if np.isnan(g).any() or g[0] < 0.0 or g[-1] > 1.0:
@@ -125,6 +124,5 @@ def gram(kind: KernelKind, grid) -> GramMatrix:
     full = _kernel_array(kind, g, g)
     upper = np.triu(full, k=1)
     entries = upper + upper.T + np.diag(np.diag(full))
-    g.setflags(write=False)
     entries.setflags(write=False)
-    return GramMatrix(kind=kind, grid=g, entries=entries)
+    return GramMatrix(entries=entries)

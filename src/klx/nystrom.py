@@ -64,7 +64,6 @@ class NystromSolution:
     product sum_i w_i u_i v_i.
     """
 
-    kind: KernelKind
     nodes: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray
@@ -121,13 +120,7 @@ def nystrom_solve(kind: KernelKind, n_nodes: int, n_eigs: int) -> NystromSolutio
     eigenvectors = vectors / sqrt_w[:, None]
     mu.setflags(write=False)
     eigenvectors.setflags(write=False)
-    return NystromSolution(
-        kind=kind,
-        nodes=nodes,
-        weights=weights,
-        eigenvalues=mu,
-        eigenvectors=eigenvectors,
-    )
+    return NystromSolution(nodes=nodes, weights=weights, eigenvalues=mu, eigenvectors=eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -143,8 +136,6 @@ class OracleRow:
 class OracleComparison:
     """Analytic vs Nystrom eigenpairs, matched by sorted order."""
 
-    kind: KernelKind
-    n_nodes: int
     rows: tuple[OracleRow, ...]
 
     def passes(self) -> bool:
@@ -183,4 +174,4 @@ def compare_eigenpairs(kind: KernelKind, n_eigs: int, n_nodes: int) -> OracleCom
                 max_deviation=float(np.max(np.abs(f_analytic[idx] - vec))),
             )
         )
-    return OracleComparison(kind=kind, n_nodes=n_nodes, rows=tuple(rows))
+    return OracleComparison(rows=tuple(rows))

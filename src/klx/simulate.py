@@ -79,10 +79,6 @@ class CovarianceCheck:
 
 @dataclass(frozen=True)
 class CovarianceTestReport:
-    kind: KernelKind
-    target_kind: KernelKind
-    pair_count: int
-    z_threshold: float
     checks: tuple[CovarianceCheck, ...]
     exceedances: int
     allowed_exceedances: int
@@ -108,19 +104,12 @@ def sample_paths(config: SimulationConfig) -> PathEnsemble:
     return PathEnsemble(config=config, values=values)
 
 
-def empirical_covariance(
-    ensemble: PathEnsemble,
-    s_index: int,
-    t_index: int,
-    target_kind: KernelKind | None = None,
-) -> CovarianceCheck:
+def empirical_covariance(ensemble: PathEnsemble, s_index: int, t_index: int) -> CovarianceCheck:
     """Covariance check at one grid index pair.
 
     The process is zero-mean, so the empirical covariance is the plain mean
     of the products; stderr is their sample standard deviation over sqrt(M).
-    Raises on a degenerate (zero-spread) product column.  ``target_kind``
-    overrides the kernel the target is computed from, which lets tests run
-    deliberate mismatches as negative controls.
+    Raises on a degenerate (zero-spread) product column.
     """
     config = ensemble.config
     grid = config.grid
@@ -134,8 +123,7 @@ def empirical_covariance(
             f"degenerate product column at grid pair ({grid[s_index]}, {grid[t_index]}): "
             "stderr is zero"
         )
-    kind = config.kind if target_kind is None else target_kind
-    target = truncated_covariance(kind, grid[s_index], grid[t_index], config.truncation)
+    target = truncated_covariance(config.kind, grid[s_index], grid[t_index], config.truncation)
     empirical = float(products.mean())
     return CovarianceCheck(
         s=float(grid[s_index]),
@@ -155,10 +143,7 @@ def _allowed_exceedances(pair_count: int, z_threshold: float) -> int:
 
 
 def covariance_test(
-    ensemble: PathEnsemble,
-    pair_count: int,
-    z_threshold: float,
-    target_kind: KernelKind | None = None,
+    ensemble: PathEnsemble, pair_count: int, z_threshold: float
 ) -> CovarianceTestReport:
     """Z-test the ensemble's covariances at random grid pairs.
 
@@ -172,17 +157,13 @@ def covariance_test(
     if not (math.isfinite(z_threshold) and z_threshold > 0.0):
         raise ValueError(f"z_threshold must be finite and > 0, got {z_threshold}")
     config = ensemble.config
-    target = config.kind if target_kind is None else target_kind
     usable = np.flatnonzero(ensemble.values.std(axis=0) > 0.0)
     skipped = usable.size == 0
     checks = ()
     if not skipped:
         sampler = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED + 1))
         picks = usable[sampler.integers(0, usable.size, size=(pair_count, 2))]
-        checks = tuple(
-            empirical_covariance(ensemble, int(s_idx), int(t_idx), target_kind=target)
-            for s_idx, t_idx in picks
-        )
+        checks = tuple(empirical_covariance(ensemble, int(s), int(t)) for s, t in picks)
     exceedances = sum(1 for c in checks if abs(c.z_score) > z_threshold)
     allowed = _allowed_exceedances(pair_count, z_threshold)
     if skipped:
@@ -193,10 +174,6 @@ def covariance_test(
             f"(allowed {allowed})"
         )
     return CovarianceTestReport(
-        kind=config.kind,
-        target_kind=target,
-        pair_count=pair_count,
-        z_threshold=z_threshold,
         checks=checks,
         exceedances=exceedances,
         allowed_exceedances=allowed,

@@ -5,6 +5,7 @@ criterion.  Criteria with runtime budgets measure wall-clock time in-process.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import time
@@ -153,8 +154,10 @@ def test_c08_monte_carlo_covariance():
     start = time.perf_counter()
     ensemble = sample_paths(config)
     positive = covariance_test(ensemble, pair_count=50, z_threshold=4.0)
-    negative = covariance_test(ensemble, pair_count=50, z_threshold=4.0,
-                               target_kind=KernelKind.BRIDGE)
+    # The same paths tested against the bridge covariance must fail.
+    mismatched = klx.PathEnsemble(config=dataclasses.replace(config, kind=KernelKind.BRIDGE),
+                                  values=ensemble.values)
+    negative = covariance_test(mismatched, pair_count=50, z_threshold=4.0)
     elapsed = time.perf_counter() - start
     ok = positive.passed and not negative.passed and elapsed < 120.0
     report(

@@ -17,7 +17,7 @@ import klx.cli
 import klx.mercer
 import klx.nystrom
 import klx.series
-from klx import KernelKind, eigenfunction, eigenvalue
+from klx import KernelKind, eigenfunction, eigenvalue, read_klx1
 from klx.cli import main
 
 
@@ -188,6 +188,27 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert len(lines) == 65
         assert [float(x) for x in lines[0].split(",")] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_out_name_picks_the_format(self, capsys, tmp_path):
+        # A name ending in .csv gets CSV; any other name, with or without a suffix, gets KLX1.
+        args = ["simulate", "--kind", "wiener", "--J", "20", "--M", "32",
+                "--grid-points", "5", "--seed", "4", "--pairs", "5"]
+        for name in ("x.csv", "x.bin", "x"):
+            code, _, _ = run(capsys, *args, "--out", str(tmp_path / name))
+            assert code == 0
+        lines = (tmp_path / "x.csv").read_text().splitlines()
+        from_csv = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        for name in ("x.bin", "x"):
+            assert (tmp_path / name).read_bytes()[:4] == b"KLX1"
+            assert read_klx1(str(tmp_path / name)).tolist() == from_csv
+
+    def test_out_format_option_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--kind", "wiener", "--J", "10", "--M", "16",
+                  "--grid-points", "3", "--out", str(tmp_path / "x.csv"),
+                  "--out-format", "klx1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_two_point_bridge_grid_skips_with_warning(self, capsys):
         code, _, err = run(capsys, "simulate", "--kind", "bridge", "--J", "10",

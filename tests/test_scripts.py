@@ -1,6 +1,6 @@
 """Smoke tests of the study scripts and the benchmark tracer, each run as its
-own process, and static checks that package modules use what they import and
-that the package exports exactly what it imports."""
+own process, and static checks that package modules, scripts and tests use
+what they import and that the package exports exactly what it imports."""
 
 import ast
 import csv
@@ -32,6 +32,13 @@ def unused_imports(source):
                     imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def files_with_unused_imports(paths):
+    """Each file among paths that imports a name it never reads, with its hits."""
+    found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text())
+             for path in paths}
+    return {name: hits for name, hits in found.items() if hits}
 
 
 def export_mismatches(source):
@@ -85,12 +92,13 @@ def test_benchmark_tracer_installs(tmp_path):
 
 def test_package_modules_have_no_unused_imports():
     # __init__.py imports to re-export; every other module must read what it imports.
-    found = {
-        path.name: unused_imports(path.read_text())
-        for path in sorted((ROOT / "src" / "klx").glob("*.py"))
-        if path.name != "__init__.py"
-    }
-    assert not {name: hits for name, hits in found.items() if hits}
+    modules = sorted((ROOT / "src" / "klx").glob("*.py"))
+    assert files_with_unused_imports(p for p in modules if p.name != "__init__.py") == {}
+
+
+def test_scripts_and_tests_have_no_unused_imports():
+    paths = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert files_with_unused_imports(paths) == {}
 
 
 def test_unused_import_guard_flags_a_dead_name():

@@ -4,6 +4,7 @@ Heavy statistical runs live in the acceptance suite; here the ensembles are
 kept small enough to run in seconds while still exercising every contract.
 """
 
+import dataclasses
 import math
 import os
 import struct
@@ -18,6 +19,7 @@ from klx import (
     eigenfunction_matrix,
     eigenvalues,
     empirical_covariance,
+    gram,
     mercer_partial,
     read_klx1,
     sample_paths,
@@ -32,6 +34,12 @@ def config(kind=KernelKind.WIENER, truncation=64, n_paths=512, grid=None, seed=4
     if grid is None:
         grid = np.linspace(0.0, 1.0, 9)
     return SimulationConfig(kind=kind, truncation=truncation, n_paths=n_paths, grid=grid, seed=seed)
+
+
+def as_bridge(ensemble):
+    """The same paths labelled as a bridge ensemble: a deliberate kernel mismatch."""
+    bridge = dataclasses.replace(ensemble.config, kind=KernelKind.BRIDGE)
+    return PathEnsemble(config=bridge, values=ensemble.values)
 
 
 class TestConfigValidation:
@@ -53,6 +61,14 @@ class TestConfigValidation:
         cfg = config()
         with pytest.raises(ValueError):
             cfg.grid[0] = 0.5
+
+    def test_caller_grid_stays_writeable(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        cfg = config(grid=grid)
+        gram(KernelKind.WIENER, grid)
+        assert grid.flags.writeable
+        grid[0] = 0.5
+        assert cfg.grid[0] == 0.0
 
 
 class TestSampling:
@@ -176,7 +192,7 @@ class TestEmpiricalCovariance:
     def test_target_kind_override(self):
         cfg = config(truncation=64, n_paths=256, grid=np.array([0.5, 1.0]))
         ensemble = sample_paths(cfg)
-        check = empirical_covariance(ensemble, 1, 1, target_kind=KernelKind.BRIDGE)
+        check = empirical_covariance(as_bridge(ensemble), 1, 1)
         assert check.truncated_target == pytest.approx(
             truncated_covariance(KernelKind.BRIDGE, 1.0, 1.0, 64), rel=1e-15
         )
@@ -193,8 +209,7 @@ class TestCovarianceTest:
 
     def test_negative_control_fails(self):
         cfg = config(truncation=200, n_paths=20000, grid=np.linspace(0.0, 1.0, 11), seed=9)
-        report = covariance_test(sample_paths(cfg), pair_count=50, z_threshold=4.0,
-                                 target_kind=KernelKind.BRIDGE)
+        report = covariance_test(as_bridge(sample_paths(cfg)), pair_count=50, z_threshold=4.0)
         assert not report.passed
         assert report.exceedances > report.allowed_exceedances
 
