@@ -1,14 +1,17 @@
 """Monte Carlo simulation of the four processes from truncated expansions.
 
-A path is X(t) = sum_{j<=J} lambda_j^(-1/2) f_j(t) Z_ij with independent
-standard normal Z_ij.  The normals of an ensemble come from one Philox
-counter-based stream keyed by the seed (key seed * 2**64), drawn in path
-order with J normals per path, so a path's normals do not depend on the
-ensemble size or on the block that holds it.  Paths are projected in fixed
-blocks of ``_BLOCK_PATHS``, because BLAS may round a row differently in a
-matmul of another shape; identical configs therefore give identical bytes.
-The blocks also bound the memory the normals take.  Statistical checks compare
-empirical covariances against the truncated target
+The expansion X(t) = sum_{j<=J} lambda_j^(-1/2) f_j(t) Z_j with independent
+standard normal Z_j has the law N(0, B^T B) on a grid of G points, where B is
+the J x G basis with rows lambda_j^(-1/2) f_j(grid).  A path is sampled as W R
+with R = qr(B, mode="r") of shape min(J, G) x G, so R^T R = B^T B: the same
+law from min(J, G) normals W per path, which are not the coefficients Z_j.
+The normals of an ensemble come from one Philox counter-based stream keyed by
+the seed (key seed * 2**64), drawn in path order, so a path's normals do not
+depend on the ensemble size or on the block that holds it.  Paths are
+projected in fixed blocks of ``_BLOCK_PATHS``, because BLAS may round a row
+differently in a matmul of another shape; identical configs therefore give
+identical bytes.  The blocks also bound the memory the normals take.
+Statistical checks compare empirical covariances against the truncated target
 sum_{j<=J} f_j(s) f_j(t) / lambda_j, which isolates Monte Carlo error from
 truncation bias.
 """
@@ -34,6 +37,8 @@ KLX1_MAGIC = b"KLX1"
 
 _BLOCK_PATHS = 2048
 _MAX_SEED = 2**64
+#: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.
+_MAX_ENTRIES = 2**26
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,10 @@ class SimulationConfig:
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         grid = _validated_grid(self.grid)
+        for name, count in (("truncation", self.truncation), ("n_paths", self.n_paths)):
+            if count * grid.size > _MAX_ENTRIES:
+                raise ValueError(f"{name} * grid points = {count * grid.size} exceeds "
+                                 f"{_MAX_ENTRIES} entries; refusing to allocate")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
@@ -88,15 +97,20 @@ class CovarianceTestReport:
 
 
 def sample_paths(config: SimulationConfig) -> PathEnsemble:
-    """Generate the ensemble; bit-identical for identical configs."""
+    """Generate the ensemble; bit-identical for identical configs.
+
+    Each path is N(0, B^T B) on the grid, drawn as min(J, G) standard normals
+    times R = qr(B, mode="r"); the normals are not the expansion coefficients.
+    """
     j_max = config.truncation
     basis = eigenfunction_matrix(config.kind, j_max, config.grid)
     basis = basis / np.sqrt(eigenvalues(config.kind, j_max))[:, None]
+    factor = np.linalg.qr(basis, mode="r")
     values = np.empty((config.n_paths, config.grid.size))
     gen = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED))
     for start in range(0, config.n_paths, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, config.n_paths)
-        values[start:stop] = gen.standard_normal((stop - start, j_max)) @ basis
+        values[start:stop] = gen.standard_normal((stop - start, factor.shape[0])) @ factor
 
     if not np.isfinite(values).all():
         raise RuntimeError("simulation produced non-finite values")

@@ -265,6 +265,22 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: ") and "allocate" in err
 
+    @pytest.mark.parametrize("j, m", [("10", str(10**12)), (str(10**12), "16")],
+                             ids=["huge-M", "huge-J"])
+    def test_oversized_config_exits_2_before_sampling(self, capsys, tmp_path, monkeypatch, j, m):
+        def refuse(config):
+            raise AssertionError("sample_paths called for an oversized config")
+
+        monkeypatch.setattr(klx.cli, "sample_paths", refuse)
+        out = tmp_path / "paths.klx"
+        code, stdout, err = run(capsys, "simulate", "--kind", "wiener", "--J", j, "--M", m,
+                                "--grid-points", "11", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and "refusing to allocate" in err
+        assert str(11 * 10**12) in err
+        assert os.listdir(tmp_path) == []
+
     def test_unwritable_out_path_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--kind", "wiener", "--J", "10",
                            "--M", "16", "--grid-points", "3",

@@ -27,13 +27,18 @@ from klx import (
     write_ensemble_csv,
     write_ensemble_klx1,
 )
-from klx.simulate import PathEnsemble, _write_atomically
+from klx.simulate import _MAX_ENTRIES, PathEnsemble, _write_atomically
 
 
 def config(kind=KernelKind.WIENER, truncation=64, n_paths=512, grid=None, seed=42):
     if grid is None:
         grid = np.linspace(0.0, 1.0, 9)
     return SimulationConfig(kind=kind, truncation=truncation, n_paths=n_paths, grid=grid, seed=seed)
+
+
+def scaled_basis(kind, j_max, grid):
+    """Test-only reference: the J x G basis B whose Gram B^T B is the paths' law on grid."""
+    return eigenfunction_matrix(kind, j_max, grid) / np.sqrt(eigenvalues(kind, j_max))[:, None]
 
 
 def as_bridge(ensemble):
@@ -56,6 +61,14 @@ class TestConfigValidation:
             config(seed=-1)
         with pytest.raises(ValueError):
             config(seed=2**64)
+
+    @pytest.mark.parametrize("field", ["truncation", "n_paths"])
+    def test_rejects_sizes_past_the_entry_cap(self, field):
+        # 9 grid points: the largest count whose basis or ensemble fits the cap is accepted.
+        fits = _MAX_ENTRIES // 9
+        assert config(**{field: fits}).grid.size == 9
+        with pytest.raises(ValueError, match=f"{field} .* {9 * (fits + 1)} exceeds .* allocate"):
+            config(**{field: fits + 1})
 
     def test_grid_is_read_only(self):
         cfg = config()
@@ -82,6 +95,17 @@ class TestSampling:
         assert (ensemble.values[:, 0] == 0.0).all()
         assert (ensemble.values[:, 3] == 0.0).all()
         assert (ensemble.values[:, 1] != 0.0).any()
+
+    @pytest.mark.parametrize("truncation", [1, 8, 64])
+    def test_pinned_zeros_are_positive(self, truncation):
+        # The CSV export prints -0.0 as "-0", so the pinned columns must hold +0.0;
+        # == 0.0 cannot tell the two apart.
+        grid = np.linspace(0.0, 1.0, 11)
+        bridge = sample_paths(config(kind=KernelKind.BRIDGE, truncation=truncation, grid=grid))
+        wiener = sample_paths(config(truncation=truncation, grid=grid))
+        pinned = np.column_stack([bridge.values[:, 0], bridge.values[:, -1], wiener.values[:, 0]])
+        assert (pinned == 0.0).all()
+        assert not np.signbit(pinned).any()
 
     def test_values_finite_and_shaped(self):
         cfg = config()
@@ -119,6 +143,26 @@ class TestSampling:
         basis = eigenfunction_matrix(cfg.kind, 1, cfg.grid) / math.sqrt(eigenvalues(cfg.kind, 1)[0])
         stream = np.random.Generator(np.random.Philox(key=cfg.seed * 2**64))
         assert np.array_equal(sample_paths(cfg).values, stream.standard_normal((50, 1)) @ basis)
+
+    def test_normals_are_min_truncation_grid_per_path_through_the_qr_factor(self, monkeypatch):
+        # J = 32 > G = 9: each path takes the next 9 normals of the seed-keyed stream,
+        # times R = qr(B, mode="r"), block by block with the same matmul shapes.
+        cfg = config(n_paths=50, truncation=32)
+        monkeypatch.setattr("klx.simulate._BLOCK_PATHS", 7)
+        factor = np.linalg.qr(scaled_basis(cfg.kind, 32, cfg.grid), mode="r")
+        assert factor.shape == (9, 9)
+        stream = np.random.Generator(np.random.Philox(key=cfg.seed * 2**64))
+        normals = stream.standard_normal((50, 9))
+        expected = np.vstack([normals[i:i + 7] @ factor for i in range(0, 50, 7)])
+        assert np.array_equal(sample_paths(cfg).values, expected)
+
+    @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("j_max, points", [(2000, 11), (64, 101), (1, 9)])
+    def test_qr_factor_has_the_law_of_the_basis(self, kind, j_max, points):
+        basis = scaled_basis(kind, j_max, np.linspace(0.0, 1.0, points))
+        factor = np.linalg.qr(basis, mode="r")
+        assert factor.shape == (min(j_max, points), points)
+        assert np.abs(factor.T @ factor - basis.T @ basis).max() <= 1e-14
 
     def test_paths_are_prefix_stable_in_path_count(self):
         # one stream drawn in path order: growing the ensemble must not change earlier paths
@@ -212,6 +256,17 @@ class TestCovarianceTest:
         report = covariance_test(as_bridge(sample_paths(cfg)), pair_count=50, z_threshold=4.0)
         assert not report.passed
         assert report.exceedances > report.allowed_exceedances
+
+    def test_one_normal_short_per_path_fails(self, monkeypatch):
+        # A sampler through R[1:] misses the law's first direction; at C8's config the
+        # covariance test must catch it.  Dropping R[-1] would be no control: it moves
+        # only the variance at t = 1, which few of the 50 random pairs touch.
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode)[1:])
+        cfg = config(truncation=2000, n_paths=10**5, grid=np.linspace(0.0, 1.0, 11), seed=7)
+        report = covariance_test(sample_paths(cfg), pair_count=50, z_threshold=4.0)
+        assert report.exceedances > report.allowed_exceedances
+        assert not report.passed
 
     def test_degenerate_columns_excluded_from_sampling(self):
         # Wiener at t=0 is degenerate; the test must still run on the rest
