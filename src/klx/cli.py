@@ -22,6 +22,7 @@ from .nystrom import EIGENVALUE_RTOL, compare_eigenpairs
 from .reports import Table, render
 from .simulate import (
     SimulationConfig,
+    _require_sizes,
     covariance_test,
     sample_paths,
     write_ensemble_csv,
@@ -65,6 +66,7 @@ def _cmd_eigen(args) -> int:
     kind = KernelKind.parse(args.kind)
     if args.j_max < 1:
         raise ValueError("--j-max must be >= 1")
+    series._require_level(args.j_max, "--j-max")
     lam = eigenvalues(kind, args.j_max)
     f = eigenfunction_matrix(kind, args.j_max, [0.0, 0.5, 1.0])
     rows = []
@@ -102,6 +104,7 @@ def _cmd_simulate(args) -> int:
     kind = KernelKind.parse(args.kind)
     if args.grid_points < 2:
         raise ValueError("--grid-points must be >= 2 to include both endpoints")
+    _require_sizes(args.J, args.M, args.grid_points)
     config = SimulationConfig(
         kind=kind,
         truncation=args.J,

@@ -5,7 +5,8 @@ The four kinds are the Wiener process, its demeaned and detrended variants
 and the Brownian bridge.  Every kernel is min(s, t) plus a cubic correction
 phi(s)^T C phi(t) over the monomials phi(x) = (1, x, x^2, x^3), with one
 symmetric coefficient table C per kind, and all are positive semidefinite on
-any grid.
+any grid.  The same table serves the Gram matrix and the matrix-free product
+K u that the Nystrom subspace iteration uses.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ def _kernel_array(kind: KernelKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     powers_x = np.vander(x, 4, increasing=True)
     powers_y = np.vander(y, 4, increasing=True)
     return np.minimum.outer(x, y) + powers_x @ _COEFFICIENTS[kind] @ powers_y.T
+
+
+def _kernel_apply(kind: KernelKind, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """K u for the kernel K on the increasing grid x and an n x p block u.
+
+    O(n) per column, without forming K: on increasing x,
+    sum_j min(x_i, x_j) u_j = sum_{j <= i} x_j u_j + x_i sum_{j > i} u_j, and
+    the cubic correction is the rank-4 product phi C (phi^T u).  No checks.
+    """
+    xs = x[:, None]
+    head = np.cumsum(xs * u, axis=0)
+    tail = u.sum(axis=0) - np.cumsum(u, axis=0)
+    powers = np.vander(x, 4, increasing=True)
+    return head + xs * tail + powers @ (_COEFFICIENTS[kind] @ (powers.T @ u))
 
 
 def _check_unit(x: float, name: str) -> float:

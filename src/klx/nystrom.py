@@ -9,13 +9,15 @@ analytic formulas, so agreement between the two routes validates both.
 Only the top k eigenpairs are wanted, so the solver depends on (n, k) alone.
 When the block p = 2k + 8 is at most 1/20 of the n nodes, block subspace
 iteration with Rayleigh-Ritz (Rutishauser 1970; Saad, Numerical Methods for
-Large Eigenvalue Problems, 2011, ch. 5) costs a few n x n x p products and
-stops once every kept Ritz pair has a residual at rounding level.  Otherwise
-one dense eigh of the whole matrix is cheaper: that is Rayleigh-Ritz on the
-whole space, exact in one step.  The 1/20 share is the crossover measured at
-1000 and 2000 nodes on a 2-vCPU x86 host with OpenBLAS; at 4096 nodes
-iteration stayed ahead down to about n/p = 9, so the rule errs towards eigh
-there.
+Large Eigenvalue Problems, 2011, ch. 5) stops once every kept Ritz pair has a
+residual at rounding level.  Each step applies the operator to the n x p block
+matrix-free, in O(n p) (``kernels._kernel_apply``), so this side never forms
+the Gram matrix.  Otherwise one dense eigh of the whole Gram matrix is
+cheaper: that is Rayleigh-Ritz on the whole space, exact in one step.  The
+1/20 share was the crossover at 1000 and 2000 nodes on a 2-vCPU x86 host with
+OpenBLAS while the iteration multiplied by the dense matrix.  With the
+matrix-free apply, iteration stays ahead down to about n/p = 15, 11 and 7 at
+1000, 2000 and 4096 nodes, so the rule errs towards eigh.
 
 The kink of min(s, t) along the diagonal limits the quadrature to algebraic
 convergence, which is plenty for a validation oracle: relative eigenvalue
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import eigenfunction_matrix, eigenvalues
-from .kernels import KernelKind, gram
+from .kernels import KernelKind, _kernel_apply, gram
 from .quadrature import gauss_legendre_01
 from .series import _require_count
 
@@ -39,9 +41,10 @@ EIGENVALUE_RTOL = 1e-3
 
 _MIN_NODES = 16
 # One doubling above the 2000-node ladder of the acceptance suite and the
-# refinement script.  Either solver reads the dense n x n Gram (n^2 memory),
-# and requests with many modes still take the whole-space eigh (n^3 time), so
-# larger requests are refused before the Gauss-Legendre rule is even computed.
+# refinement script.  The iterated side needs only O(n p) memory, but requests
+# with many modes take the whole-space eigh of the dense n x n Gram (n^2
+# memory, n^3 time) and the Gauss-Legendre rule itself costs O(n^2) time, so
+# larger requests are refused before the rule is even computed.
 _MAX_NODES = 4096
 
 # Subspace iteration.  The residual tolerance, relative to the top Ritz value,
@@ -70,20 +73,23 @@ class NystromSolution:
     eigenvectors: np.ndarray
 
 
-def _top_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top k eigenvalues of the symmetric matrix a, descending, and their vectors.
+def _top_eigenpairs(
+    kind: KernelKind, nodes: np.ndarray, sqrt_w: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top k eigenpairs of A = W^1/2 K W^1/2 on the nodes, descending.
 
     Raises np.linalg.LinAlgError when either solver fails to converge.
     """
-    n = a.shape[0]
+    n = nodes.size
     p = 2 * k + _GUARD_COLUMNS
     if _ITERATION_SHARE * p > n:
-        spectrum, vectors = np.linalg.eigh(a)
+        spectrum, vectors = np.linalg.eigh(gram(kind, nodes).entries * np.outer(sqrt_w, sqrt_w))
         return spectrum[::-1][:k], vectors[:, ::-1][:, :k]
+    scale = sqrt_w[:, None]
     start = np.random.Generator(np.random.Philox(key=0)).standard_normal((n, p))
     q, _ = np.linalg.qr(start)
     for _ in range(_MAX_ITERATIONS):
-        aq = a @ q
+        aq = scale * _kernel_apply(kind, nodes, scale * q)
         theta, w = np.linalg.eigh(q.T @ aq)
         theta, w = theta[::-1], w[:, ::-1]
         ritz = q @ w[:, :k]
@@ -110,11 +116,9 @@ def nystrom_solve(kind: KernelKind, n_nodes: int, n_eigs: int) -> NystromSolutio
     if n_eigs > n_nodes:
         raise ValueError(f"n_eigs ({n_eigs}) cannot exceed n_nodes ({n_nodes})")
     nodes, weights = gauss_legendre_01(n_nodes)
-    kmat = gram(kind, nodes).entries
     sqrt_w = np.sqrt(weights)
-    symmetrized = kmat * np.outer(sqrt_w, sqrt_w)
     try:
-        mu, vectors = _top_eigenpairs(symmetrized, n_eigs)
+        mu, vectors = _top_eigenpairs(kind, nodes, sqrt_w, n_eigs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge on {n_nodes} nodes: {exc}") from exc
     eigenvectors = vectors / sqrt_w[:, None]

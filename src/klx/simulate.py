@@ -41,6 +41,17 @@ _MAX_SEED = 2**64
 _MAX_ENTRIES = 2**26
 
 
+def _require_sizes(truncation: int, n_paths: int, grid_points: int) -> None:
+    """Refuse counts out of range, and a basis or ensemble past _MAX_ENTRIES."""
+    _require_count(truncation, "truncation")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    for name, count in (("truncation", truncation), ("n_paths", n_paths)):
+        if count * grid_points > _MAX_ENTRIES:
+            raise ValueError(f"{name} * grid points = {count * grid_points} exceeds "
+                             f"{_MAX_ENTRIES} entries; refusing to allocate")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Process kind, truncation level, ensemble size, grid and seed."""
@@ -52,16 +63,10 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_count(self.truncation, "truncation")
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         grid = _validated_grid(self.grid)
-        for name, count in (("truncation", self.truncation), ("n_paths", self.n_paths)):
-            if count * grid.size > _MAX_ENTRIES:
-                raise ValueError(f"{name} * grid points = {count * grid.size} exceeds "
-                                 f"{_MAX_ENTRIES} entries; refusing to allocate")
+        _require_sizes(self.truncation, self.n_paths, grid.size)
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 

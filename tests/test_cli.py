@@ -11,12 +11,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import klx.cli
 import klx.mercer
 import klx.nystrom
 import klx.series
+import klx.simulate
 from klx import KernelKind, eigenfunction, eigenvalue, read_klx1
 from klx.cli import main
 
@@ -116,6 +118,17 @@ class TestEigen:
         code, _, err = run(capsys, "eigen", "--kind", "poisson", "--j-max", "2")
         assert code == 2
         assert "unknown kernel kind" in err
+
+    @pytest.mark.parametrize("j_max", [klx.series._MAX_TERMS + 1, 10**11])
+    def test_j_max_past_the_level_cap_exits_2_before_any_array(self, capsys, monkeypatch, j_max):
+        def refuse(kind, j_max):
+            raise AssertionError("eigenvalues called past the level cap")
+
+        monkeypatch.setattr(klx.cli, "eigenvalues", refuse)
+        code, out, err = run(capsys, "eigen", "--kind", "wiener", "--j-max", str(j_max))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --j-max must be <= {klx.series._MAX_TERMS}, got {j_max}\n"
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_rows_equal_scalar_evaluators(self, capsys, kind):
@@ -280,6 +293,24 @@ class TestSimulate:
         assert err.startswith("error: ") and "refusing to allocate" in err
         assert str(11 * 10**12) in err
         assert os.listdir(tmp_path) == []
+
+    def test_entry_cap_is_checked_before_the_grid_is_built(self, capsys, monkeypatch):
+        class GridReached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise GridReached
+
+        monkeypatch.setattr(np, "linspace", reached)
+        code, stdout, err = run(capsys, "simulate", "--kind", "wiener", "--J", "10",
+                                "--M", "16", "--grid-points", str(2**40))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and "refusing to allocate" in err
+        assert str(10 * 2**40) in err
+        with pytest.raises(GridReached):
+            main(["simulate", "--kind", "wiener", "--J", "1", "--M", "2",
+                  "--grid-points", str(klx.simulate._MAX_ENTRIES // 2)])
 
     def test_unwritable_out_path_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--kind", "wiener", "--J", "10",

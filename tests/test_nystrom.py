@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import klx.kernels
 import klx.nystrom
 from klx import (
     KernelKind,
@@ -123,6 +124,31 @@ class TestTopEigenpairSolver:
         monkeypatch.setattr(klx.nystrom, "_MAX_ITERATIONS", 1)
         with pytest.raises(RuntimeError, match="failed to converge on 400 nodes"):
             nystrom_solve(KernelKind.WIENER, 400, 5)
+
+
+class TestMatrixFreeOperator:
+    @pytest.mark.parametrize("n_nodes", [16, 400, 2000])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_apply_matches_dense_symmetrised_gram(self, kind, n_nodes):
+        nodes, weights = klx.nystrom.gauss_legendre_01(n_nodes)
+        sqrt_w = np.sqrt(weights)
+        block = np.random.default_rng(n_nodes).standard_normal((n_nodes, 18))
+        dense = klx.nystrom.gram(kind, nodes).entries * np.outer(sqrt_w, sqrt_w) @ block
+        scale = sqrt_w[:, None]
+        applied = scale * klx.kernels._kernel_apply(kind, nodes, scale * block)
+        assert np.max(np.abs(applied - dense)) <= 1e-15
+
+    def test_dropping_the_correction_fails_the_oracle(self, monkeypatch):
+        # Negative control: with the detrended table zeroed the apply is the
+        # Wiener operator, and the oracle gate must notice.  The Gram is never
+        # built on this (iterated) side, so only the apply sees the change.
+        def no_gram(kind, grid):
+            raise AssertionError("the iterated side built the Gram matrix")
+
+        monkeypatch.setattr(klx.nystrom, "gram", no_gram)
+        assert compare_eigenpairs(KernelKind.DETRENDED, 5, 400).passes()
+        monkeypatch.setitem(klx.kernels._COEFFICIENTS, KernelKind.DETRENDED, np.zeros((4, 4)))
+        assert not compare_eigenpairs(KernelKind.DETRENDED, 5, 400).passes()
 
 
 class TestEigenvalueAccuracy:
