@@ -31,6 +31,11 @@ from .simulate import (
 
 _FORMATS = ("pretty", "csv", "json")
 
+#: Most rows ``klx eigen`` tabulates.  Each row is a tuple of Python objects:
+#: 10^6 rows take about 13 s and 645 MB, so the 10^7 level cap of the sums
+#: would allow some 6 GB.
+_MAX_EIGEN_ROWS = 10**6
+
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -66,7 +71,8 @@ def _cmd_eigen(args) -> int:
     kind = KernelKind.parse(args.kind)
     if args.j_max < 1:
         raise ValueError("--j-max must be >= 1")
-    series._require_level(args.j_max, "--j-max")
+    if args.j_max > _MAX_EIGEN_ROWS:
+        raise ValueError(f"--j-max must be <= {_MAX_EIGEN_ROWS}, got {args.j_max}")
     lam = eigenvalues(kind, args.j_max)
     f = eigenfunction_matrix(kind, args.j_max, [0.0, 0.5, 1.0])
     rows = []

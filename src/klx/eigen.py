@@ -18,7 +18,11 @@ Trigonometric arguments that are multiples of pi are reduced before calling
 sin/cos, so values like f(0), f(1) and the even detrended f(1/2) come out as
 exact zeros or exact +-sqrt(2).  That exactness is relied on elsewhere (path
 simulation pins bridge endpoints to 0.0; Mercer sums at t = 1/2 drop even
-detrended terms identically).
+detrended terms identically, so route 3 may take the odd indices alone).
+
+``eigenvalues`` and ``eigenfunction_matrix`` take an index ``step``: indices
+1, 1 + step, 1 + 2 step, ...  An even step holds odd indices only, so the
+detrended kind then solves no Bessel root.
 """
 
 from __future__ import annotations
@@ -90,13 +94,31 @@ def bessel_roots(n_max: int) -> np.ndarray:
     return _roots_cache[:n_max]
 
 
-def eigenvalues(kind: KernelKind, j_max: int) -> np.ndarray:
-    """Eigenvalues for indices 1..j_max, strictly increasing."""
+def _indices(j_max: int, step: int) -> np.ndarray:
+    """Indices 1, 1 + step, 1 + 2 step, ... (j_max of them) as floats."""
     _require_count(j_max, "eigenpair index")
+    _require_count(step, "step")
+    return np.arange(1, step * j_max + 1, step, dtype=float)
+
+
+def _even_detrended(j_max: int, step: int):
+    """Rows of the even indices j = 2n among 1, 1 + step, ... (j_max of them),
+    their root numbers n and their Bessel roots z_n.  They are every other row
+    from the second when the step is odd; an even step has none and solves no
+    root."""
+    if step % 2 == 0 or j_max < 2:
+        return slice(0), np.empty(0), np.empty(0)
+    n = np.arange((step + 1) // 2, step * (j_max // 2) + 1, step)
+    return slice(1, None, 2), n, bessel_roots(int(n[-1]))[(step - 1) // 2::step]
+
+
+def eigenvalues(kind: KernelKind, j_max: int, step: int = 1) -> np.ndarray:
+    """Eigenvalues for indices 1, 1 + step, ... (j_max of them), strictly increasing."""
     offset, _ = _SPECTRA[kind]
-    lam = (np.arange(1, j_max + 1, dtype=float) + offset) ** 2 * PI_SQUARED
-    if kind is KernelKind.DETRENDED and j_max >= 2:
-        lam[1::2] = 4.0 * bessel_roots(j_max // 2) ** 2
+    lam = (_indices(j_max, step) + offset) ** 2 * PI_SQUARED
+    if kind is KernelKind.DETRENDED:
+        rows, _, z = _even_detrended(j_max, step)
+        lam[rows] = 4.0 * z ** 2
     return lam
 
 
@@ -106,22 +128,22 @@ def eigenvalue(kind: KernelKind, j: int) -> float:
     return float(eigenvalues(kind, j)[j - 1])
 
 
-def eigenfunction_matrix(kind: KernelKind, j_max: int, t) -> np.ndarray:
-    """Eigenfunctions 1..j_max sampled on t, shape (j_max, len(t)).
+def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1) -> np.ndarray:
+    """Eigenfunctions of indices 1, 1 + step, ... (j_max of them) sampled on t,
+    shape (j_max, len(t)).
 
     ``t`` is assumed to lie in [0, 1]; validation happens in the scalar
     entry point and in grid constructors.
     """
-    _require_count(j_max, "eigenpair index")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     offset, trig = _SPECTRA[kind]
-    out = SQRT2 * trig((np.arange(1, j_max + 1, dtype=float)[:, None] + offset) * t)
-    if kind is KernelKind.DETRENDED and j_max >= 2:
-        n = np.arange(1, j_max // 2 + 1)
-        z = bessel_roots(j_max // 2)[:, None]
+    out = SQRT2 * trig((_indices(j_max, step)[:, None] + offset) * t)
+    if kind is KernelKind.DETRENDED:
+        rows, n, z = _even_detrended(j_max, step)
+        z = z[:, None]
         sign = np.where(n % 2 == 1, 1.0, -1.0)[:, None]
         amplitude = SQRT2 / np.abs(np.sin(z))
-        out[1::2] = sign * amplitude * np.sin(2.0 * z * (t - 0.5))
+        out[rows] = sign * amplitude * np.sin(2.0 * z * (t - 0.5))
     return out
 
 

@@ -9,23 +9,27 @@ independent routes to zeta(2) = pi^2/6:
 * route 2: the demeaned diagonal at t = 1 equals 1/3 and rearranges to
   (2/pi^2) * sum 1/j^2.
 * route 3: the detrended diagonal at t = 1/2 equals 1/12; even-index terms
-  vanish there identically, and the surviving odd-index terms rearrange to
-  (1/(2 pi^2)) * sum 1/n^2.
+  vanish there identically, so the route takes the odd indices j = 1, 3, ...
+  only (no Bessel root), and they rearrange to (1/(2 pi^2)) * sum 1/n^2.
 
-Each estimate comes with an analytic tail bound that is validated (never
-assumed) by the test suite.
+Every route builds its terms once, as a float64 array up to the largest
+level asked for, and each level is the ``fsum`` of its own prefix, handed to
+``_kahan`` a chunk of Python floats at a time.  Each estimate comes with an
+analytic tail bound that is validated (never assumed) by the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _kahan, _require_count, _require_level, odd_squares_partial
+from .series import _kahan, _require_count, _require_level
 
 ZETA2 = PI_SQUARED / 6.0
 
@@ -42,18 +46,29 @@ _TAIL_CONSTANT = {1: 1.0 / 3.0, 2: 1.0, 3: 1.0}
 #: *computed* error must also cover a few ulps of measurement fuzz.
 _FLOAT_SLACK = 16.0 * math.ulp(PI_SQUARED / 6.0)
 
+#: Floats converted by one ``tolist()`` when an array is summed: a whole-array
+#: list is never built.
+_CHUNK = 1 << 16
+
 
 def _check_proof(proof: int) -> None:
     if proof not in PROOF_IDS:
         raise ValueError(f"proof must be one of {PROOF_IDS}, got {proof}")
 
 
-def mercer_terms(kind: KernelKind, t: float, j_max: int):
-    """The first j_max Mercer terms f_j(t)^2 / lambda_j as an array."""
+def _sum_array(terms: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 array, fed to ``_kahan`` in chunks."""
+    return _kahan(chain.from_iterable(terms[i:i + _CHUNK].tolist()
+                                      for i in range(0, terms.size, _CHUNK)))
+
+
+def mercer_terms(kind: KernelKind, t: float, j_max: int, step: int = 1):
+    """The Mercer terms f_j(t)^2 / lambda_j of indices 1, 1 + step, ... (j_max
+    of them) as an array."""
     _require_count(j_max, "j_max")
     t = _check_unit(t, "t")
-    f = eigenfunction_matrix(kind, j_max, t)[:, 0]
-    return f * f / eigenvalues(kind, j_max)
+    f = eigenfunction_matrix(kind, j_max, t, step)[:, 0]
+    return f * f / eigenvalues(kind, j_max, step)
 
 
 def mercer_partial(kind: KernelKind, t: float, j_max: int) -> float:
@@ -61,7 +76,7 @@ def mercer_partial(kind: KernelKind, t: float, j_max: int) -> float:
 
     Converges to kernel_value(kind, t, t) as j_max grows.
     """
-    return _kahan(mercer_terms(kind, t, j_max).tolist())
+    return _sum_array(mercer_terms(kind, t, j_max))
 
 
 def truncated_covariance(kind: KernelKind, s: float, t: float, j_max: int) -> float:
@@ -74,7 +89,7 @@ def truncated_covariance(kind: KernelKind, s: float, t: float, j_max: int) -> fl
     s = _check_unit(s, "s")
     t = _check_unit(t, "t")
     fs, ft = eigenfunction_matrix(kind, j_max, [s, t]).T
-    return _kahan((fs * ft / eigenvalues(kind, j_max)).tolist())
+    return _sum_array(fs * ft / eigenvalues(kind, j_max))
 
 
 def basel_estimate(proof: int, j_terms: int) -> float:
@@ -118,10 +133,10 @@ def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
 
     Route 1 sums the odd-square reciprocals and scales by 4/3 (the closed form
     of its Mercer sum at t = 1); routes 2 and 3 sum the Mercer terms and
-    rescale.  Route 3 spends 2J indices on level J because the even-index
-    terms vanish at t = 1/2.  Every level is the correctly rounded ``fsum`` of
-    its own terms, so it is bit-identical to summing that level alone; routes
-    2 and 3 build their Mercer terms once, up to the largest level.
+    rescale, route 3 over the odd indices alone.  Every route builds its terms
+    once, up to the largest level, and each level is the correctly rounded
+    ``fsum`` of its own prefix, summed in chunks, so it is bit-identical to
+    summing that level alone.
     """
     _check_proof(proof)
     if not j_values:
@@ -129,15 +144,17 @@ def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
     for j_terms in j_values:
         _require_count(j_terms, "j_terms")
         _require_level(j_terms, "truncation level")
-    counts = [2 * j for j in j_values] if proof == 3 else j_values
+    j_max = max(j_values)
     if proof == 1:
-        scale, sums = 4.0 / 3.0, [odd_squares_partial(j - 1).value for j in j_values]
+        # (2k + 1)^-2 for k < J, in place; float_power rounds as Python's ** does,
+        # np.power does not.
+        scale, terms = 4.0 / 3.0, np.arange(1, 2 * j_max, 2, dtype=float)
+        np.float_power(terms, -2.0, out=terms)
     else:
-        kind, t, scale = ((KernelKind.DEMEANED, 1.0, PI_SQUARED / 2.0) if proof == 2
-                          else (KernelKind.DETRENDED, 0.5, 2.0 * PI_SQUARED))
-        terms = mercer_terms(kind, t, max(counts)).tolist()
-        sums = [_kahan(islice(terms, count)) for count in counts]
-    estimates = [scale * total for total in sums]
+        kind, t, step, scale = ((KernelKind.DEMEANED, 1.0, 1, PI_SQUARED / 2.0) if proof == 2
+                                else (KernelKind.DETRENDED, 0.5, 2, 2.0 * PI_SQUARED))
+        terms = mercer_terms(kind, t, j_max, step)
+    estimates = [scale * _sum_array(terms[:j_terms]) for j_terms in j_values]
     rows = tuple(ConvergenceRow(j_terms, estimate, abs(ZETA2 - estimate),
                                 proof_tail_bound(proof, j_terms))
                  for j_terms, estimate in zip(j_values, estimates))

@@ -23,9 +23,10 @@ from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 #: Largest level a partial sum or ``mercer.proof_report`` accepts.  At 1e7 a
-#: table's term list peaks near 0.4 GB and the Mercer routes' near 0.6 GB
-#: (route 2) and 1.1 GB (route 3, 2e7 terms); a scalar sum holds no list but
-#: takes 2-5 s.  Larger levels are refused before any term is built.
+#: table's term list peaks near 0.4 GB; ``proof_report`` holds one float64
+#: array per route and peaks near 0.58 GB (routes 2 and 3, evaluating the
+#: eigenfunctions) and 0.11 GB (route 1); a scalar sum holds no list but takes
+#: 2-5 s.  Larger levels are refused before any term is built.
 _MAX_TERMS = 10**7
 
 

@@ -119,7 +119,8 @@ class TestEigen:
         assert code == 2
         assert "unknown kernel kind" in err
 
-    @pytest.mark.parametrize("j_max", [klx.series._MAX_TERMS + 1, 10**11])
+    @pytest.mark.parametrize("j_max", [klx.cli._MAX_EIGEN_ROWS + 1, klx.series._MAX_TERMS + 1,
+                                       10**11])
     def test_j_max_past_the_level_cap_exits_2_before_any_array(self, capsys, monkeypatch, j_max):
         def refuse(kind, j_max):
             raise AssertionError("eigenvalues called past the level cap")
@@ -128,7 +129,16 @@ class TestEigen:
         code, out, err = run(capsys, "eigen", "--kind", "wiener", "--j-max", str(j_max))
         assert code == 2
         assert out == ""
-        assert err == f"error: --j-max must be <= {klx.series._MAX_TERMS}, got {j_max}\n"
+        assert err == f"error: --j-max must be <= {klx.cli._MAX_EIGEN_ROWS}, got {j_max}\n"
+
+    def test_j_max_at_the_row_cap_is_accepted(self, capsys, monkeypatch):
+        def reached(kind, j_max):
+            raise ValueError(f"eigenvalues asked for {j_max}")
+
+        monkeypatch.setattr(klx.cli, "eigenvalues", reached)
+        cap = klx.cli._MAX_EIGEN_ROWS
+        code, out, err = run(capsys, "eigen", "--kind", "wiener", "--j-max", str(cap))
+        assert (code, out, err) == (2, "", f"error: eigenvalues asked for {cap}\n")
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_rows_equal_scalar_evaluators(self, capsys, kind):

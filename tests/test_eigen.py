@@ -23,6 +23,7 @@ from klx import (
     kernel_matrix,
     kernel_value,
 )
+from klx import eigen
 from klx.quadrature import gauss_legendre_01, integrate_01
 
 ALL_KINDS = list(KernelKind)
@@ -129,6 +130,72 @@ class TestEigenvalues:
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):
             eigenvalue(KernelKind.WIENER, 0)
+
+
+class TestStep:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_stepped_indices_are_a_slice_of_the_full_range(self, kind, step):
+        t = np.array([0.0, 0.3, 0.5, 1.0])
+        assert eigenvalues(kind, 25, step).tobytes() == eigenvalues(kind, 25 * step)[::step].tobytes()
+        assert (eigenfunction_matrix(kind, 25, t, step).tobytes()
+                == eigenfunction_matrix(kind, 25 * step, t)[::step].tobytes())
+
+    def test_even_step_solves_no_root(self, monkeypatch):
+        def refuse(n_max):
+            raise AssertionError("a Bessel root was solved")
+
+        monkeypatch.setattr(eigen, "_solve_roots", refuse)
+        monkeypatch.setattr(eigen, "_roots_cache", np.empty(0))
+        assert eigenvalues(KernelKind.DETRENDED, 100, 2)[-1] == 200.0**2 * PI**2
+        eigenfunction_matrix(KernelKind.DETRENDED, 100, [0.5], 2)
+        with pytest.raises(AssertionError, match="Bessel root"):
+            eigenvalues(KernelKind.DETRENDED, 100, 3)
+
+    def test_rejects_zero_step(self):
+        with pytest.raises(ValueError, match="step"):
+            eigenvalues(KernelKind.WIENER, 3, 0)
+
+
+class TestSpectralIdentities:
+    """Mercer's trace and Hilbert-Schmidt identities, sum 1/lambda_j = int k(t, t)
+    and sum 1/lambda_j^2 = int int k(s, t)^2, against the exact integrals of
+    each kernel; for the demeaned and bridge kinds the second is
+    zeta(4) = pi^4/90."""
+
+    J = 10**5
+    #: kind -> (trace, Hilbert-Schmidt), exact rationals of the kernel table.
+    EXACT = {
+        KernelKind.WIENER: (1 / 2, 1 / 6),
+        KernelKind.DEMEANED: (1 / 6, 1 / 90),
+        KernelKind.DETRENDED: (1 / 15, 11 / 12600),
+        KernelKind.BRIDGE: (1 / 6, 1 / 90),
+    }
+
+    def hs_error(self, kind):
+        hs = self.EXACT[kind][1]
+        return abs(math.fsum((eigenvalues(kind, self.J) ** -2.0).tolist()) - hs) / hs
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_hilbert_schmidt(self, kind):
+        assert self.hs_error(kind) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_trace_tail_is_one_over_pi_squared_j(self, kind):
+        trace = self.EXACT[kind][0]
+        partial = math.fsum((1.0 / eigenvalues(kind, self.J)).tolist())
+        assert 0.99 <= (trace - partial) * PI**2 * self.J <= 1.01
+
+    def test_perturbed_first_root_fails_hilbert_schmidt(self, monkeypatch):
+        exact_roots = eigen.bessel_roots
+
+        def perturbed(n_max):
+            z = exact_roots(n_max).copy()
+            z[0] *= 1.0 + 1e-8
+            return z
+
+        monkeypatch.setattr(eigen, "bessel_roots", perturbed)
+        assert self.hs_error(KernelKind.DETRENDED) > 1e-9
 
 
 class TestEigenfunctions:

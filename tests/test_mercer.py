@@ -14,12 +14,13 @@ from klx import (
     kernel_value,
     mercer_partial,
     mercer_terms,
+    odd_squares_partial,
     proof_report,
     proof_tail_bound,
     truncated_covariance,
     zeta_partial,
 )
-from klx import mercer, series
+from klx import eigen, mercer, series
 from klx.series import _kahan
 
 ALL_KINDS = list(KernelKind)
@@ -163,8 +164,8 @@ class TestConvergenceReport:
     def test_accepts_level_at_cap(self, proof, monkeypatch):
         requested, sums = [], []
 
-        def stub_terms(kind, t, n):
-            requested.append(n)
+        def stub_terms(kind, t, n, step):
+            requested.append((n, step))
             return np.zeros(0)
 
         def stub_sum(terms):
@@ -177,7 +178,8 @@ class TestConvergenceReport:
         report = proof_report(proof, [series._MAX_TERMS])
         assert [row.j_terms for row in report.rows] == [series._MAX_TERMS]
         assert len(sums) == 1
-        assert requested == ([] if proof == 1 else [series._MAX_TERMS * (2 if proof == 3 else 1)])
+        # Route 3 asks for J odd-index terms (step 2), not 2J terms of every index.
+        assert requested == ([] if proof == 1 else [(series._MAX_TERMS, 2 if proof == 3 else 1)])
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_levels_match_per_level_sums_in_request_order(self, proof):
@@ -191,17 +193,48 @@ class TestConvergenceReport:
         assert [row.j_terms for row in report.rows] == levels
         assert [row.estimate for row in report.rows] == [per_level(j) for j in levels]
 
-    @pytest.mark.parametrize("proof, j_max", [(3, 2000), (2, 1000)])
+    @pytest.mark.parametrize("proof, j_max", [(3, 1000), (2, 1000)])
     def test_each_route_builds_its_terms_once(self, proof, j_max, monkeypatch):
         calls = []
 
-        def counting(kind, t, n):
-            calls.append(n)
-            return mercer_terms(kind, t, n)
+        def counting(kind, t, n, step):
+            calls.append((n, step))
+            return mercer_terms(kind, t, n, step)
 
         monkeypatch.setattr(mercer, "mercer_terms", counting)
         proof_report(proof, [10, 1000, 100])
-        assert calls == [j_max]
+        assert calls == [(j_max, 2 if proof == 3 else 1)]
+
+    def test_route3_solves_no_bessel_root(self, monkeypatch):
+        def refuse(n_max):
+            raise AssertionError("route 3 solved a Bessel root")
+
+        monkeypatch.setattr(eigen, "_solve_roots", refuse)
+        monkeypatch.setattr(eigen, "_roots_cache", np.empty(0))
+        report = proof_report(3, [1, 10, 1000, 10**5])
+        assert report.passes()
+        with pytest.raises(AssertionError, match="Bessel root"):
+            mercer_terms(KernelKind.DETRENDED, 0.5, 2)
+
+    def test_route3_terms_are_the_odd_indices_of_the_full_range(self):
+        j_terms = 10**5
+        full = mercer_terms(KernelKind.DETRENDED, 0.5, 2 * j_terms)
+        odd = mercer_terms(KernelKind.DETRENDED, 0.5, j_terms, 2)
+        assert odd.tobytes() == full[0::2].tobytes()
+        assert (full[1::2] == 0.0).all()
+
+    def test_ladder_matches_reference_routes_bit_for_bit(self):
+        ladder = [1, 10, 10**3, 10**5, 10**6]
+        route1 = [(4.0 / 3.0) * odd_squares_partial(j - 1).value for j in ladder]
+        route3 = [(2.0 * math.pi**2) * mercer_partial(KernelKind.DETRENDED, 0.5, 2 * j)
+                  for j in ladder]
+        assert [row.estimate for row in proof_report(1, ladder).rows] == route1
+        assert [row.estimate for row in proof_report(3, ladder).rows] == route3
+
+    def test_chunked_sum_equals_fsum_across_chunk_edges(self):
+        terms = np.random.default_rng(7).standard_normal(3 * mercer._CHUNK + 5) * 1e3
+        for count in (0, 1, mercer._CHUNK, mercer._CHUNK + 1, terms.size):
+            assert mercer._sum_array(terms[:count]) == math.fsum(terms[:count].tolist())
 
 
 class TestTruncatedCovariance:
