@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -106,11 +107,23 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+def _require_writable_target(path: str) -> None:
+    """Refuse an --out that names a directory or lies in a missing one,
+    before any path is simulated."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write output file {path!r}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write output file {path!r}: no directory {parent!r}")
+
+
 def _cmd_simulate(args) -> int:
     kind = KernelKind.parse(args.kind)
     if args.grid_points < 2:
         raise ValueError("--grid-points must be >= 2 to include both endpoints")
     _require_sizes(args.J, args.M, args.grid_points)
+    if args.out:
+        _require_writable_target(args.out)
     config = SimulationConfig(
         kind=kind,
         truncation=args.J,

@@ -45,9 +45,12 @@ def _sinpi(x: np.ndarray) -> np.ndarray:
     """sin(pi * x) with exact reduction: exactly 0 at integers, +-1 at
     half-integers."""
     n = np.round(x)
-    r = x - n
-    s = np.sin(np.pi * r)
-    return np.where(n % 2.0 == 0.0, s, -s)
+    s = x - n
+    s *= np.pi
+    np.sin(s, out=s)
+    np.remainder(n, 2.0, out=n)
+    np.negative(s, out=s, where=n != 0.0)
+    return s
 
 
 def _cospi(x: np.ndarray) -> np.ndarray:
@@ -137,7 +140,8 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1) -> np.n
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     offset, trig = _SPECTRA[kind]
-    out = SQRT2 * trig((_indices(j_max, step)[:, None] + offset) * t)
+    out = trig((_indices(j_max, step)[:, None] + offset) * t)
+    out *= SQRT2
     if kind is KernelKind.DETRENDED:
         rows, n, z = _even_detrended(j_max, step)
         z = z[:, None]

@@ -13,7 +13,9 @@ differently in a matmul of another shape; identical configs therefore give
 identical bytes.  The blocks also bound the memory the normals take.
 Statistical checks compare empirical covariances against the truncated target
 sum_{j<=J} f_j(s) f_j(t) / lambda_j, which isolates Monte Carlo error from
-truncation bias.
+truncation bias.  The CSV export formats its rows in up to one process per
+CPU this process may run on, each a contiguous row range; every value is
+formatted on its own, so the bytes do not depend on the process count.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ _BLOCK_PATHS = 2048
 _MAX_SEED = 2**64
 #: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.
 _MAX_ENTRIES = 2**26
+#: Rows formatted per ``tolist()`` by the CSV writer, so text never piles up.
+_CSV_BLOCK_ROWS = 256
+#: Fewest values worth a forked CSV writer process.
+_CSV_MIN_PART_VALUES = 2**16
+#: Bytes per read when a part file is appended to the export.
+_CSV_COPY_BYTES = 2**20
 
 
 def _require_sizes(truncation: int, n_paths: int, grid_points: int) -> None:
@@ -220,15 +228,94 @@ def _write_atomically(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def _csv_part_count(n_rows: int, n_cols: int) -> int:
+    """Processes that format a CSV export: one per CPU this process may run
+    on, at most one per row and one per _CSV_MIN_PART_VALUES values."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, n_rows, n_rows * n_cols // _CSV_MIN_PART_VALUES))
+
+
+def _csv_blocks(values: np.ndarray, line: str, start: int, stop: int):
+    """Encoded CSV rows start..stop, one ``%`` per block of _CSV_BLOCK_ROWS rows."""
+    for i in range(start, stop, _CSV_BLOCK_ROWS):
+        block = values[i:min(i + _CSV_BLOCK_ROWS, stop)]
+        yield ((line * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
+def _reaped_parts(children: dict[int, tuple[str, int, int]]):
+    """Reap each writer child in row order and yield the bytes of its part
+    file; a reaped child leaves ``children``.  Raises OSError for a child
+    that failed."""
+    for pid, (part, start, stop) in list(children.items()):
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del children[pid]
+        if status != 0:
+            how = f"was killed by signal {-status}" if status < 0 else f"exited with {status}"
+            raise OSError(f"the CSV writer process for rows {start}-{stop} {how}")
+        with open(part, "rb") as handle:
+            yield from iter(lambda: handle.read(_CSV_COPY_BYTES), b"")
+
+
+def _write_csv(ensemble: PathEnsemble, path: str, parts: int) -> None:
+    """CSV export split into ``parts`` contiguous row ranges.
+
+    Each range after the first is formatted by a forked child into a part
+    file that the parent opened beside path.  The parent writes the header
+    and the first range into the temp file of _write_atomically, then reaps
+    the children in row order and appends their parts.  A child ends in
+    ``os._exit`` whatever happens, so it never unwinds into the caller,
+    flushes the parent's buffers or runs ``atexit``.  It runs only ``tolist``,
+    ``%`` and writes, no BLAS, so forking after BLAS has started its threads
+    is safe.  On any exception in the
+    parent every live child is killed and reaped; the part files are always
+    removed.
+    """
+    values = ensemble.values
+    line = ",".join(["%.17g"] * ensemble.config.grid.size) + "\n"
+    bounds = [values.shape[0] * k // parts for k in range(parts + 1)]
+    parent = os.getpid()
+    children: dict[int, tuple[str, int, int]] = {}
+    part_paths = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            part = f"{path}.{secrets.token_hex(6)}.part"
+            with open(part, "xb") as handle:
+                part_paths.append(part)
+                pid = os.fork()
+                if pid == 0:
+                    for chunk in _csv_blocks(values, line, start, stop):
+                        handle.write(chunk)
+                    handle.flush()
+                    os._exit(0)
+            children[pid] = (part, start, stop)
+        header = (line % tuple(ensemble.config.grid.tolist())).encode()
+        _write_atomically(path, itertools.chain(
+            [header], _csv_blocks(values, line, 0, bounds[1]), _reaped_parts(children)))
+    except BaseException as exc:
+        if os.getpid() != parent:
+            os.write(2, f"error: CSV writer process: {exc!r}\n".encode())
+            os._exit(1)
+        raise
+    finally:
+        import signal
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in part_paths:
+            os.unlink(part)
+
+
 def write_ensemble_csv(ensemble: PathEnsemble, path: str) -> None:
     """CSV export: header row holds the grid, then one row per path.
 
-    Each row is one ``%`` over its floats as a list; ``%.17g`` gives the same
-    bytes as ``format(x, ".17g")``.
+    Every value is ``%.17g``, the same bytes as ``format(x, ".17g")``.  The
+    rows are formatted in up to one process per CPU this process may run on
+    (forked children, one contiguous row range each); the bytes do not
+    depend on how many.
     """
-    line = ",".join(["%.17g"] * ensemble.config.grid.size) + "\n"
-    rows = itertools.chain([ensemble.config.grid], ensemble.values)
-    _write_atomically(path, ((line % tuple(row.tolist())).encode() for row in rows))
+    values = ensemble.values
+    _write_csv(ensemble, path, _csv_part_count(values.shape[0], values.shape[1]))
 
 
 def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:

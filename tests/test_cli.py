@@ -329,6 +329,42 @@ class TestSimulate:
         assert code == 2
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("target", ["existing-dir", "missing/x.csv", "missing/x.klx"])
+    def test_bad_out_exits_2_before_sampling(self, capsys, tmp_path, monkeypatch, target):
+        def refuse(config):
+            raise AssertionError("sample_paths called for an unwritable --out")
+
+        monkeypatch.setattr(klx.cli, "sample_paths", refuse)
+        (tmp_path / "existing-dir").mkdir()
+        code, stdout, err = run(capsys, "simulate", "--kind", "wiener", "--J", "10",
+                                "--M", "16", "--grid-points", "3",
+                                "--out", str(tmp_path / target))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: cannot write output file")
+        assert ("is a directory" if target == "existing-dir" else "no directory") in err
+        assert os.listdir(tmp_path) == ["existing-dir"]
+        assert os.listdir(tmp_path / "existing-dir") == []
+
+    def test_csv_bytes_do_not_depend_on_the_cpus_available(self, tmp_path):
+        # 2000 x 101 values: enough for a forked writer per CPU when more than one is free.
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        outputs = []
+        for name, preexec in (("pinned.csv", one_cpu), ("free.csv", None)):
+            result = subprocess.run(
+                [sys.executable, "-m", "klx.cli", "simulate", "--kind", "bridge", "--J", "16",
+                 "--M", "2000", "--grid-points", "101", "--seed", "5", "--pairs", "5",
+                 "--out", str(tmp_path / name), "--format", "json"],
+                env=src_env(), capture_output=True, text=True, timeout=120,
+                preexec_fn=preexec)
+            assert result.returncode == 0, result.stderr
+            assert json.loads(result.stdout)["passed"] is True
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+        assert sorted(os.listdir(tmp_path)) == ["free.csv", "pinned.csv"]
+
 
 class TestSeries:
     def test_triangular_closed_form_row(self, capsys):
@@ -382,12 +418,25 @@ class TestSeries:
         assert abs(float(row["distance"])) < 0.01
 
 
-def test_import_does_not_load_scipy():
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def src_env():
+    """Environment for a fresh interpreter that imports klx from this checkout."""
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+
+def loaded_by_import(*packages):
+    """Modules of the given top-level packages that ``import klx.cli`` loads."""
     probe = ("import sys, klx.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert loaded_by_import("scipy") == "[]"
+
+
+def test_import_does_not_load_process_pools():
+    # The CSV writer forks with os.fork; it needs no pool machinery.
+    assert loaded_by_import("multiprocessing", "concurrent") == "[]"

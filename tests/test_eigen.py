@@ -238,6 +238,24 @@ class TestEigenfunctions:
         with pytest.raises(ValueError):
             eigenfunction(KernelKind.WIENER, 0, 0.5)
 
+    def test_in_place_sinpi_matches_the_out_of_place_reduction(self):
+        def reference(x):
+            n = np.round(x)
+            s = np.sin(np.pi * (x - n))
+            return np.where(n % 2.0 == 0.0, s, -s)
+
+        whole = np.arange(-2000.0, 2001.0)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            whole, -whole, whole + 0.5, whole - 0.5, [0.0, -0.0, 2.0**52, -(2.0**53), 1e300],
+            rng.uniform(-1e3, 1e3, 4000), rng.uniform(-1.0, 1.0, 4000),
+        ])
+        # Bit patterns, so a zero of the other sign is a mismatch too.
+        expected = reference(x).view(np.int64)
+        assert np.array_equal(eigen._sinpi(x).view(np.int64), expected)
+        assert np.array_equal(eigen._sinpi(x[:, None]).ravel().view(np.int64), expected)
+        assert np.signbit(expected.view(float)[x == np.round(x)]).any()
+
     def test_matrix_matches_scalar(self):
         t = np.array([0.0, 0.3, 0.5, 1.0])
         for kind in ALL_KINDS:

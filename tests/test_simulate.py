@@ -7,6 +7,7 @@ kept small enough to run in seconds while still exercising every contract.
 import dataclasses
 import math
 import os
+import signal
 import struct
 
 import numpy as np
@@ -27,6 +28,7 @@ from klx import (
     write_ensemble_csv,
     write_ensemble_klx1,
 )
+from klx import simulate
 from klx.simulate import _MAX_ENTRIES, PathEnsemble, _write_atomically
 
 
@@ -345,18 +347,19 @@ class TestSerialization:
         if existing is not None:
             assert path.read_bytes() == existing
 
-    def test_failed_csv_export_keeps_existing_file(self, tmp_path):
-        cfg = config(n_paths=3, grid=np.linspace(0.0, 1.0, 4))
-        rows = sample_paths(cfg).values
+    def test_failed_csv_export_keeps_existing_file(self, tmp_path, monkeypatch):
+        ensemble = sample_paths(config(n_paths=3, grid=np.linspace(0.0, 1.0, 4)))
+        blocks = simulate._csv_blocks
 
-        def failing_rows():
-            yield rows[0]
+        def failing_blocks(*args):
+            yield next(blocks(*args))
             raise RuntimeError("row formatting failed")
 
+        monkeypatch.setattr(simulate, "_csv_blocks", failing_blocks)
         path = tmp_path / "paths.csv"
         path.write_text("previous export\n")
         with pytest.raises(RuntimeError):
-            write_ensemble_csv(PathEnsemble(config=cfg, values=failing_rows()), str(path))
+            write_ensemble_csv(ensemble, str(path))
         assert os.listdir(tmp_path) == ["paths.csv"]
         assert path.read_text() == "previous export\n"
 
@@ -391,3 +394,113 @@ class TestSerialization:
         assert header == list(grid)
         first_row = [float(x) for x in lines[1].split(",")]
         assert first_row == pytest.approx(list(ensemble.values[0]), abs=0.0)
+
+
+def per_value_csv(grid, values):
+    """Test-only reference: the CSV text of an ensemble, one format() per value."""
+    return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in [grid, *values]).encode()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCsvPartition:
+    """The CSV writer split into row ranges, each after the first formatted by
+    a forked child; the bytes must not depend on the split."""
+
+    SPECIAL = np.array([[-0.0, 5e-324, 1e300, -1e300]])
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("n_paths", [2, 7, 600], ids=["M-below-parts", "M-7", "M-600"])
+    def test_bytes_do_not_depend_on_the_part_count(self, tmp_path, parts, n_paths):
+        grid = np.linspace(0.0, 1.0, 4)
+        ensemble = sample_paths(config(n_paths=n_paths, grid=grid))
+        path = tmp_path / "paths.csv"
+        simulate._write_csv(ensemble, str(path), parts)
+        assert path.read_bytes() == per_value_csv(grid, ensemble.values)
+        assert os.listdir(tmp_path) == ["paths.csv"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_special_values_in_a_child_range(self, tmp_path, parts):
+        # The last range always goes to a child; put the special values there.
+        grid = np.linspace(0.0, 1.0, 4)
+        values = np.vstack([np.full((5, 4), 0.1), self.SPECIAL, -self.SPECIAL])
+        ensemble = PathEnsemble(config=config(n_paths=7, grid=grid), values=values)
+        path = tmp_path / "paths.csv"
+        simulate._write_csv(ensemble, str(path), parts)
+        expected = per_value_csv(grid, values)
+        assert path.read_bytes() == expected
+        assert b"-0,4.9406564584124654e-324,1.0000000000000001e+300,-1.0000000000000001e+300\n" in expected
+
+    def failing_in(self, monkeypatch, failing_range):
+        """Make _csv_blocks raise on the row range failing_range picks."""
+        blocks = simulate._csv_blocks
+
+        def failing_blocks(values, line, start, stop):
+            if failing_range(start):
+                raise RuntimeError(f"formatting rows {start}-{stop} failed")
+            return blocks(values, line, start, stop)
+
+        monkeypatch.setattr(simulate, "_csv_blocks", failing_blocks)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failed_range_keeps_existing_file(self, tmp_path, monkeypatch, capfd, where):
+        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
+        self.failing_in(monkeypatch, (lambda start: start > 0) if where == "child"
+                        else (lambda start: start == 0))
+        path = tmp_path / "paths.csv"
+        path.write_bytes(b"previous export\n")
+        expected = OSError if where == "child" else RuntimeError
+        with pytest.raises(expected):
+            simulate._write_csv(ensemble, str(path), 3)
+        assert path.read_bytes() == b"previous export\n"
+        assert os.listdir(tmp_path) == ["paths.csv"]
+        assert_no_child_left()
+        if where == "child":
+            assert "formatting rows 100-200 failed" in capfd.readouterr().err
+
+    def test_interrupted_parent_kills_its_children(self, tmp_path, monkeypatch):
+        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
+        blocks = simulate._csv_blocks
+
+        def stalled_children(values, line, start, stop):
+            if start > 0:
+                os.kill(os.getpid(), signal.SIGSTOP)  # the child only ends by SIGKILL
+            elif start == 0:
+                raise KeyboardInterrupt
+            return blocks(values, line, start, stop)
+
+        monkeypatch.setattr(simulate, "_csv_blocks", stalled_children)
+        path = tmp_path / "paths.csv"
+        with pytest.raises(KeyboardInterrupt):
+            simulate._write_csv(ensemble, str(path), 3)
+        assert os.listdir(tmp_path) == []
+        assert_no_child_left()
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", refuse)
+        grid = np.linspace(0.0, 1.0, 101)
+        ensemble = sample_paths(config(n_paths=2000, grid=grid))
+        path = tmp_path / "paths.csv"
+        write_ensemble_csv(ensemble, str(path))
+        assert path.read_bytes() == per_value_csv(grid, ensemble.values)
+
+    def test_part_count(self, monkeypatch):
+        count = simulate._csv_part_count
+        minimum = simulate._CSV_MIN_PART_VALUES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert count(10**4, 101) == 8
+        assert count(3, 2**20) == 3
+        assert count(minimum - 1, 1) == 1
+        assert count(3 * minimum // 101 + 1, 101) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert count(10**4, 101) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert count(10**4, 101) == 1
