@@ -36,8 +36,6 @@ from .nystrom import (
 )
 from .quadrature import gauss_legendre_01, integrate_01
 from .series import (
-    PartialSum,
-    ResidualSequenceEntry,
     bernoulli_residual,
     estermann_residual,
     leibniz_partial,
@@ -77,9 +75,7 @@ __all__ = [
     "NystromSolution",
     "OracleComparison",
     "OracleRow",
-    "PartialSum",
     "PathEnsemble",
-    "ResidualSequenceEntry",
     "SimulationConfig",
     "ZETA2",
     "basel_estimate",

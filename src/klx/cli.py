@@ -24,6 +24,7 @@ from .reports import Table, render
 from .simulate import (
     SimulationConfig,
     _require_sizes,
+    _require_test_settings,
     covariance_test,
     sample_paths,
     write_ensemble_csv,
@@ -122,6 +123,7 @@ def _cmd_simulate(args) -> int:
     if args.grid_points < 2:
         raise ValueError("--grid-points must be >= 2 to include both endpoints")
     _require_sizes(args.J, args.M, args.grid_points)
+    _require_test_settings(args.pairs, args.z_threshold)
     if args.out:
         _require_writable_target(args.out)
     config = SimulationConfig(
@@ -164,12 +166,12 @@ def _cmd_simulate(args) -> int:
 
 #: --which name -> (value at index n, reference limit).
 _SERIES = {
-    "zeta": (lambda n: series.zeta_partial(2.0, n).value, math.pi**2 / 6.0),
-    "triangular": (lambda n: series.triangular_partial(n).value, 2.0),
-    "odd": (lambda n: series.odd_squares_partial(n).value, math.pi**2 / 8.0),
-    "leibniz": (lambda n: series.leibniz_partial(n).value, math.pi / 4.0),
-    "estermann": (lambda n: series.estermann_residual(n).residual, 0.0),
-    "bernoulli": (lambda n: series.bernoulli_residual(n).residual, math.pi**2 / 16.0),
+    "zeta": (lambda n: series.zeta_partial(2.0, n), math.pi**2 / 6.0),
+    "triangular": (series.triangular_partial, 2.0),
+    "odd": (series.odd_squares_partial, math.pi**2 / 8.0),
+    "leibniz": (series.leibniz_partial, math.pi / 4.0),
+    "estermann": (series.estermann_residual, 0.0),
+    "bernoulli": (series.bernoulli_residual, math.pi**2 / 16.0),
 }
 
 

@@ -1,66 +1,43 @@
 """Classical partial sums related to zeta(2) = pi^2/6.
 
-Every sum is ``math.fsum`` of its terms: correctly rounded (Shewchuk 1997),
-so results are deterministic and ulp-level identities between different
-routes to the same quantity actually hold.  A table sums each level's own
-prefix alone.  Levels above ``_MAX_TERMS`` are refused before any term is
-built.
+Each series is one float64 array of its terms, built up to the largest level
+asked for, and every sum is ``_kahan`` of a prefix of it: ``math.fsum``,
+correctly rounded (Shewchuk 1997), so results are deterministic and ulp-level
+identities between routes hold.  Array terms round as the scalar Python
+expressions do (``np.float_power`` calls the ``pow`` of ``**``; ``np.power``
+may not).  Each table level sums its own prefix, so it is bit-identical to
+the scalar sum of that length; the zeta and triangular scalars are one-level
+tables.  Every result is a float.  Levels above ``_MAX_TERMS`` are refused
+before any term is built.
 
-Index conventions:
-
-* ``zeta_partial`` and ``triangular_partial`` take the number of terms
-  ``n >= 1``.
-* The odd-denominator series (``odd_squares_partial``, ``leibniz_partial``)
-  and the residuals built from them are 0-indexed: the argument ``n`` is the
-  last summation index, so ``n = 0`` means one term.
+Index conventions: ``zeta_partial`` and ``triangular_partial`` take the
+number of terms ``n >= 1``; the odd-denominator sums and their residuals
+take the last summation index ``n >= 0``, so ``n = 0`` means one term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
-#: Largest level a partial sum or ``mercer.proof_report`` accepts.  At 1e7 a
-#: table's term list peaks near 0.4 GB; ``proof_report`` holds one float64
-#: array per route and peaks near 0.58 GB (routes 2 and 3, evaluating the
-#: eigenfunctions) and 0.11 GB (route 1); a scalar sum holds no list but takes
-#: 2-5 s.  Larger levels are refused before any term is built.
+import numpy as np
+
+#: Largest level a partial sum or ``mercer.proof_report`` accepts.  Peak RSS at
+#: 1e7 (child ``getrusage``): 111 MB for a zeta, odd-square or Leibniz sum and
+#: a zeta table (one 80 MB terms array, built in place), 185 MB for a
+#: triangular sum or table (one int64 temporary), ``proof_report`` 111 MB on
+#: route 1 and 347 MB on routes 2 and 3 (the eigenfunctions).
 _MAX_TERMS = 10**7
 
-
-@dataclass(frozen=True)
-class PartialSum:
-    """A finite partial sum: how many terms went in and what came out."""
-
-    n_terms: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.n_terms < 1:
-            raise ValueError("a partial sum needs at least one term")
-        if not math.isfinite(self.value):
-            raise ValueError("partial sum value must be finite")
+#: Floats per ``tolist()`` in ``_kahan``, so a whole-array list is never built.
+_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class ResidualSequenceEntry:
-    """One entry of a residual sequence, keyed by the last summation index."""
-
-    index: int
-    residual: float
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("index must be >= 0")
-        if not math.isfinite(self.residual):
-            raise ValueError("residual must be finite")
-
-
-def _kahan(terms: Iterable[float]) -> float:
-    """The correctly rounded sum of ``terms`` (``math.fsum``)."""
-    return math.fsum(terms)
+def _kahan(terms: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 array, fed to ``math.fsum`` in chunks."""
+    return math.fsum(chain.from_iterable(terms[i:i + _CHUNK].tolist()
+                                         for i in range(0, terms.size, _CHUNK)))
 
 
 def _require_count(n: int, name: str = "n") -> None:
@@ -68,48 +45,61 @@ def _require_count(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be >= 1, got {n}")
 
 
-def _require_index(n: int, name: str = "n") -> None:
-    if n < 0:
-        raise ValueError(f"{name} must be >= 0, got {n}")
-
-
 def _require_level(n: int, name: str = "n") -> None:
     if n > _MAX_TERMS:
         raise ValueError(f"{name} must be <= {_MAX_TERMS}, got {n}")
 
 
-def zeta_partial(s: float, n: int) -> PartialSum:
-    """Partial sum of k^(-s) for k = 1..n.
-
-    Requires s > 1 (the full series diverges otherwise) and n >= 1.
-    """
-    if not s > 1.0:
-        raise ValueError(f"s must be > 1, got {s}")
-    _require_count(n)
+def _term_count(n: int) -> int:
+    """The number of terms through summation index n >= 0, once n is checked."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     _require_level(n)
-    return PartialSum(n, _kahan(k ** -s for k in range(1, n + 1)))
+    return n + 1
 
 
-def _partial_table(term: Callable[[int], float], n_values: Sequence[int]) -> list[PartialSum]:
-    """Sums of ``term(k)`` for k = 1..n at each n in ``n_values``.  The terms are
-    built once and each level sums its own prefix, so each value is
-    bit-identical to the scalar sum of n terms."""
+def _power_terms(s: float, count: int, step: int = 1) -> np.ndarray:
+    """k^(-s) for k = 1, 1 + step, ... (count of them)."""
+    terms = np.arange(1, step * count + 1, step, dtype=float)
+    return np.float_power(terms, -s, out=terms)
+
+
+def _triangular_terms(count: int) -> np.ndarray:
+    """2/(k(k+1)) for k = 1..count; the products are exact in int64."""
+    products = np.arange(1, count + 1, dtype=np.int64)
+    products *= products + 1
+    return np.divide(2.0, products, out=products.view(float))
+
+
+def _leibniz_terms(count: int) -> np.ndarray:
+    """(-1)^k/(2k+1) for k = 0..count-1."""
+    terms = np.arange(1, 2 * count, 2, dtype=float)
+    np.divide(1.0, terms, out=terms)
+    terms[1::2] *= -1.0
+    return terms
+
+
+def _table(n_values: Sequence[int], build: Callable[..., np.ndarray], *args) -> list[float]:
+    """Sums of the first n terms at each n in ``n_values``, in request order,
+    from one array ``build(*args, max(n_values))``."""
     if not n_values:
         raise ValueError("n_values must be non-empty")
     _require_count(min(n_values))
     _require_level(max(n_values))
-    terms = [term(k) for k in range(1, max(n_values) + 1)]
-    return [PartialSum(n, _kahan(islice(terms, n))) for n in n_values]
+    terms = build(*args, max(n_values))
+    return [_kahan(terms[:n]) for n in n_values]
 
 
-def zeta_partial_table(s: float, n_values: Sequence[int]) -> list[PartialSum]:
-    """``zeta_partial`` at several term counts, sharing one list of terms.
-
-    Each returned value is bit-identical to the corresponding scalar call.
-    """
+def zeta_partial_table(s: float, n_values: Sequence[int]) -> list[float]:
+    """Partial sums of k^(-s) for k = 1..n at each n in ``n_values``; needs s > 1."""
     if not s > 1.0:
         raise ValueError(f"s must be > 1, got {s}")
-    return _partial_table(lambda k: k ** -s, n_values)
+    return _table(n_values, _power_terms, s)
+
+
+def zeta_partial(s: float, n: int) -> float:
+    """Partial sum of k^(-s) for k = 1..n."""
+    return zeta_partial_table(s, [n])[0]
 
 
 def zeta2_tail_bounds(n: int) -> tuple[float, float]:
@@ -124,47 +114,35 @@ def triangular_closed_form(n: int) -> float:
     return 2.0 * (1.0 - 1.0 / (n + 1))
 
 
-def triangular_partial(n: int) -> PartialSum:
+def triangular_partial_table(n_values: Sequence[int]) -> list[float]:
+    """Term-by-term sums of 2/(k(k+1)) for k = 1..n at each n in ``n_values``."""
+    return _table(n_values, _triangular_terms)
+
+
+def triangular_partial(n: int) -> float:
     """Term-by-term sum of 2/(k(k+1)) for k = 1..n; telescopes to 2."""
-    _require_count(n)
-    _require_level(n)
-    return PartialSum(n, _kahan(2.0 / (k * (k + 1)) for k in range(1, n + 1)))
+    return triangular_partial_table([n])[0]
 
 
-def triangular_partial_table(n_values: Sequence[int]) -> list[PartialSum]:
-    """``triangular_partial`` at several term counts, sharing one list of terms."""
-    return _partial_table(lambda k: 2.0 / (k * (k + 1)), n_values)
-
-
-def odd_squares_partial(n: int) -> PartialSum:
+def odd_squares_partial(n: int) -> float:
     """Sum of 1/(2k+1)^2 for k = 0..n; converges to pi^2/8."""
-    _require_index(n)
-    _require_level(n)
-    return PartialSum(n + 1, _kahan((2 * k + 1) ** -2.0 for k in range(n + 1)))
+    return _kahan(_power_terms(2.0, _term_count(n), 2))
 
 
-def leibniz_partial(n: int) -> PartialSum:
+def leibniz_partial(n: int) -> float:
     """Alternating sum of (-1)^k/(2k+1) for k = 0..n; converges to pi/4."""
-    _require_index(n)
-    _require_level(n)
-    return PartialSum(
-        n + 1,
-        _kahan((1.0 if k % 2 == 0 else -1.0) / (2 * k + 1) for k in range(n + 1)),
-    )
+    return _kahan(_leibniz_terms(_term_count(n)))
 
 
-def bernoulli_residual(n: int) -> ResidualSequenceEntry:
+def bernoulli_residual(n: int) -> float:
     """Defect of squaring the alternating sum: odd-squares sum minus the
     squared Leibniz sum, both through index n.  Converges to pi^2/16."""
-    _require_index(n)
-    q = leibniz_partial(n).value
-    return ResidualSequenceEntry(n, odd_squares_partial(n).value - q * q)
+    q = leibniz_partial(n)
+    return odd_squares_partial(n) - q * q
 
 
-def estermann_residual(n: int) -> ResidualSequenceEntry:
+def estermann_residual(n: int) -> float:
     """Odd-squares sum minus twice the squared Leibniz sum, both through
     index n.  Converges to 0; empirically |residual| <= 2/n for n >= 1."""
-    _require_index(n)
-    q = leibniz_partial(n).value
-    return ResidualSequenceEntry(n, odd_squares_partial(n).value - 2.0 * q * q)
-
+    q = leibniz_partial(n)
+    return odd_squares_partial(n) - 2.0 * q * q

@@ -41,6 +41,8 @@ _BLOCK_PATHS = 2048
 _MAX_SEED = 2**64
 #: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.
 _MAX_ENTRIES = 2**26
+#: Most pairs one covariance test draws: about 6.5 s at 0.65 ms a pair on 20 000 paths.
+_MAX_PAIRS = 10**4
 #: Rows formatted per ``tolist()`` by the CSV writer, so text never piles up.
 _CSV_BLOCK_ROWS = 256
 #: Fewest values worth a forked CSV writer process.
@@ -58,6 +60,15 @@ def _require_sizes(truncation: int, n_paths: int, grid_points: int) -> None:
         if count * grid_points > _MAX_ENTRIES:
             raise ValueError(f"{name} * grid points = {count * grid_points} exceeds "
                              f"{_MAX_ENTRIES} entries; refusing to allocate")
+
+
+def _require_test_settings(pair_count: int, z_threshold: float) -> None:
+    """Refuse a pair count outside 1.._MAX_PAIRS or a threshold not finite and > 0."""
+    _require_count(pair_count, "pair_count")
+    if pair_count > _MAX_PAIRS:
+        raise ValueError(f"pair_count must be <= {_MAX_PAIRS}, got {pair_count}")
+    if not (math.isfinite(z_threshold) and z_threshold > 0.0):
+        raise ValueError(f"z_threshold must be finite and > 0, got {z_threshold}")
 
 
 @dataclass(frozen=True)
@@ -180,9 +191,7 @@ def covariance_test(
     are excluded.  If no such column exists the test is skipped and counts as
     a pass.
     """
-    _require_count(pair_count, "pair_count")
-    if not (math.isfinite(z_threshold) and z_threshold > 0.0):
-        raise ValueError(f"z_threshold must be finite and > 0, got {z_threshold}")
+    _require_test_settings(pair_count, z_threshold)
     config = ensemble.config
     usable = np.flatnonzero(ensemble.values.std(axis=0) > 0.0)
     skipped = usable.size == 0

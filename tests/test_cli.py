@@ -279,6 +279,22 @@ class TestSimulate:
         assert "z_threshold" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--pairs", "10001"), ("--z-threshold", "nan"),
+                                             ("--pairs", "0")])
+    def test_bad_test_settings_exit_2_before_sampling(self, capsys, tmp_path, monkeypatch,
+                                                      flag, value):
+        def refuse(config):
+            raise AssertionError("sample_paths called for refused test settings")
+
+        monkeypatch.setattr(klx.cli, "sample_paths", refuse)
+        out = tmp_path / "paths.csv"
+        code, stdout, err = run(capsys, "simulate", "--kind", "wiener", "--J", "10", "--M", "16",
+                                "--grid-points", "3", flag, value, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert not out.exists()
+
     # numpy refuses both sizes up front (364 TiB and 72.8 TiB), so nothing is allocated.
     @pytest.mark.parametrize("j, m", [("4", "10000000000000"), ("10000000000000", "100")],
                              ids=["huge-M", "huge-J"])

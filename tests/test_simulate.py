@@ -297,6 +297,12 @@ class TestCovarianceTest:
         with pytest.raises(ValueError, match="finite"):
             covariance_test(sample_paths(config()), pair_count=5, z_threshold=math.inf)
 
+    def test_pair_count_cap(self):
+        simulate._require_test_settings(simulate._MAX_PAIRS, 4.0)
+        with pytest.raises(ValueError, match=str(simulate._MAX_PAIRS + 1)):
+            covariance_test(sample_paths(config()), pair_count=simulate._MAX_PAIRS + 1,
+                            z_threshold=4.0)
+
     def test_deterministic_pair_sampling(self):
         cfg = config(truncation=32, n_paths=500, seed=12)
         a = covariance_test(sample_paths(cfg), pair_count=10, z_threshold=4.0)
