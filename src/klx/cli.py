@@ -109,10 +109,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _require_writable_target(path: str) -> None:
-    """Refuse an --out that names a directory or lies in a missing one,
-    before any path is simulated."""
+    """Refuse an --out that names a directory or any other existing file that
+    is not a regular file, or lies in a missing directory, before any path is
+    simulated."""
     if os.path.isdir(path):
         raise ValueError(f"cannot write output file {path!r}: it is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"cannot write output file {path!r}: it is not a regular file")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ValueError(f"cannot write output file {path!r}: no directory {parent!r}")

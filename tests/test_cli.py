@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -361,6 +362,23 @@ class TestSimulate:
         assert ("is a directory" if target == "existing-dir" else "no directory") in err
         assert os.listdir(tmp_path) == ["existing-dir"]
         assert os.listdir(tmp_path / "existing-dir") == []
+
+    @pytest.mark.parametrize("name", ["fifo.csv", "fifo.klx"])
+    def test_non_regular_out_exits_2_before_sampling(self, capsys, tmp_path, monkeypatch, name):
+        def refuse(config):
+            raise AssertionError("sample_paths called for a non-regular --out")
+
+        monkeypatch.setattr(klx.cli, "sample_paths", refuse)
+        os.mkfifo(tmp_path / name)
+        code, stdout, err = run(capsys, "simulate", "--kind", "bridge", "--J", "4",
+                                "--M", "3", "--grid-points", "3",
+                                "--out", str(tmp_path / name))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: cannot write output file")
+        assert "not a regular file" in err
+        assert stat.S_ISFIFO(os.stat(tmp_path / name).st_mode)
+        assert os.listdir(tmp_path) == [name]
 
     def test_csv_bytes_do_not_depend_on_the_cpus_available(self, tmp_path):
         # 2000 x 101 values: enough for a forked writer per CPU when more than one is free.

@@ -8,10 +8,15 @@ import dataclasses
 import math
 import os
 import signal
+import stat
 import struct
+import tempfile
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klx import (
     KernelKind,
@@ -445,10 +450,10 @@ class TestCsvPartition:
         """Make _csv_blocks raise on the row range failing_range picks."""
         blocks = simulate._csv_blocks
 
-        def failing_blocks(values, line, start, stop):
+        def failing_blocks(values, start, stop):
             if failing_range(start):
                 raise RuntimeError(f"formatting rows {start}-{stop} failed")
-            return blocks(values, line, start, stop)
+            return blocks(values, start, stop)
 
         monkeypatch.setattr(simulate, "_csv_blocks", failing_blocks)
 
@@ -472,12 +477,12 @@ class TestCsvPartition:
         ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
         blocks = simulate._csv_blocks
 
-        def stalled_children(values, line, start, stop):
+        def stalled_children(values, start, stop):
             if start > 0:
                 os.kill(os.getpid(), signal.SIGSTOP)  # the child only ends by SIGKILL
             elif start == 0:
                 raise KeyboardInterrupt
-            return blocks(values, line, start, stop)
+            return blocks(values, start, stop)
 
         monkeypatch.setattr(simulate, "_csv_blocks", stalled_children)
         path = tmp_path / "paths.csv"
@@ -510,3 +515,171 @@ class TestCsvPartition:
         assert count(10**4, 101) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
         assert count(10**4, 101) == 1
+
+
+def g17_reference(values, row_end):
+    """Test-only reference: ``"%.17g" % v`` per value, then "\\n" or ","."""
+    return "".join("%.17g%s" % (v, "\n" if end else ",")
+                   for v, end in zip(np.asarray(values, dtype=float).tolist(),
+                                     np.asarray(row_end).tolist())).encode()
+
+
+def assert_g17(values):
+    """The block formatter against the reference, with a row end every fifth value."""
+    values = np.asarray(values, dtype=float)
+    row_end = np.arange(1, values.size + 1) % 5 == 0
+    assert simulate._g17_text(values, row_end) == g17_reference(values, row_end)
+
+
+def shown_digits(x):
+    """Significant digits of ``"%.17g" % x`` after trailing zeros are stripped."""
+    return ("%.16e" % abs(x))[:18].replace(".", "").rstrip("0")
+
+
+def with_digits(exp, digits):
+    """The first double k * 10**(exp + 1 - digits), for a ``digits``-digit k
+    not ending in 0, whose %.17g shows exactly ``digits`` significant digits."""
+    start = int("123456789123456789"[:digits])
+    for k in range(start, 10**digits):
+        x = float(f"{k}e{exp + 1 - digits}")
+        if k % 10 and len(shown_digits(x)) == digits:
+            return x
+    raise AssertionError(f"no {digits}-digit double found at exponent {exp}")
+
+
+class TestG17Formatter:
+    """simulate._g17_text against ``"%.17g" % x``, byte for byte."""
+
+    EDGES = [0.99999999999999999, 9.9999999999999995e-5, 999999.99999999999, 1e-4, 1e6,
+             0.1, 0.5, 1.5, 100000.0, 123456.0, 0.0, 5e-324, 2.2250738585072014e-308,
+             np.inf, np.nan, 1e300, 1e16, 1e17, 12345678901234567.0]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        assert_g17(values)
+
+    @given(st.lists(st.floats(min_value=1e-5, max_value=1e7)
+                    | st.floats(min_value=-1e7, max_value=-1e-5), min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_floats_around_the_fixed_range(self, values):
+        assert_g17(values)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        assert_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_edge_table(self):
+        values = [*self.EDGES]
+        for k in range(-5, 8):
+            power = float(f"1e{k}")
+            values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+        values += [-v for v in values]
+        assert_g17(values)
+        assert_g17([np.nan, -np.nan, np.inf, -np.inf])
+
+    def test_round_half_even_ties(self):
+        # Ties to 17 digits in the fixed range: odd m / 2**(17 - E) for E in -4..5.
+        ties = [m / 2.0 ** (17 - exp) for exp in range(-4, 6)
+                for m in (math.ceil(1.5 * 10.0**exp * 2 ** (17 - exp)) | 1) + 2 * np.arange(8)]
+        exact = [Decimal(x).as_tuple().digits for x in ties]
+        found = [x for x, d in zip(ties, exact) if len(d) == 18 and d[-1] == 5]
+        assert len(found) == 80
+        # Half of them keep an even 17th digit, which half-up rounding would raise.
+        assert sum(d[16] % 2 == 0 for d in exact) == 40
+        assert_g17(found + [-x for x in found])
+
+    @pytest.mark.parametrize("exp", range(-4, 6))
+    def test_each_count_of_trailing_zeros(self, exp):
+        values = [with_digits(exp, digits) for digits in range(1, 18)]
+        assert [math.floor(math.log10(x)) for x in values] == [exp] * 17
+        assert_g17(values + [-x for x in values])
+
+    def test_fallback_at_both_ends(self):
+        assert_g17([1e-5, 0.5, 0.25, 1e7])
+        assert_g17([1e-5])
+        assert_g17([np.nan, 1e300, -5e-324])
+        assert simulate._g17_text(np.empty(0), np.empty(0, dtype=bool)) == b""
+
+
+class TestCsvBlocks:
+    """Block edges of the CSV writer: the bytes are the per-value reference."""
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("shape", [(3, 1), (simulate._CSV_BLOCK_VALUES + 1, 1),
+                                       (1, 2 * simulate._CSV_BLOCK_VALUES + 5),
+                                       (simulate._CSV_BLOCK_VALUES // 7 + 3, 7)],
+                             ids=["G-1", "G-1-past-a-block", "one-row", "ragged-last-block"])
+    def test_block_edges(self, tmp_path, shape, parts):
+        size = shape[0] * shape[1]
+        values = np.random.default_rng(size).standard_normal(size)
+        # Values that take the per-value fallback, on both sides of each block edge.
+        for edge in range(0, size + 1, simulate._CSV_BLOCK_VALUES):
+            values[max(edge - 1, 0)] = 1e-7
+            values[min(edge, size - 1)] = -3e9
+        values = values.reshape(shape)
+        grid = np.linspace(0.0, 1.0, shape[1]) if shape[1] > 1 else np.array([0.5])
+        ensemble = PathEnsemble(config=config(n_paths=max(shape[0], 2), grid=grid), values=values)
+        path = tmp_path / "paths.csv"
+        simulate._write_csv(ensemble, str(path), min(parts, shape[0]))
+        assert path.read_bytes() == per_value_csv(grid, values)
+        assert_no_child_left()
+
+
+class TestKlx1Properties:
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_keeps_every_bit(self, n_paths, n_grid, data):
+        bits = data.draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                                  min_size=n_paths * n_grid, max_size=n_paths * n_grid))
+        values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n_paths, n_grid)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "paths.klx")
+            write_ensemble_klx1(PathEnsemble(config=config(), values=values), path)
+            recovered = read_klx1(path)
+        assert recovered.shape == (n_paths, n_grid)
+        assert np.array_equal(recovered.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 2)])
+    def test_every_proper_prefix_is_refused(self, tmp_path, shape):
+        values = np.arange(shape[0] * shape[1], dtype=float).reshape(shape) - 1.5
+        path = tmp_path / "paths.klx"
+        write_ensemble_klx1(PathEnsemble(config=config(), values=values), str(path))
+        raw = path.read_bytes()
+        assert len(raw) == 20 + 8 * values.size
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ValueError):
+                read_klx1(str(path))
+
+
+class TestNonRegularTarget:
+    """An existing target that is not a regular file is refused, never replaced."""
+
+    @pytest.mark.parametrize(
+        "write", [write_ensemble_csv, write_ensemble_klx1,
+                  lambda ensemble, path: simulate._write_csv(ensemble, path, 3)],
+        ids=["csv", "klx1", "csv-3-parts"])
+    def test_writers_refuse_a_fifo(self, tmp_path, write):
+        target = tmp_path / "fifo"
+        os.mkfifo(target)
+        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
+        with pytest.raises(OSError, match="not a regular file"):
+            write(ensemble, str(target))
+        assert stat.S_ISFIFO(os.stat(target).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+        assert_no_child_left()
+
+    def test_atomic_write_refuses_before_its_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "fifo.bin"
+        os.mkfifo(target)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("temp file opened for a non-regular target")
+
+        monkeypatch.setattr("builtins.open", refuse)
+        with pytest.raises(OSError, match="not a regular file"):
+            _write_atomically(str(target), [b"data"])
+        assert stat.S_ISFIFO(os.stat(target).st_mode)
