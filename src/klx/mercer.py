@@ -12,10 +12,10 @@ independent routes to zeta(2) = pi^2/6:
   vanish there identically, so the route takes the odd indices j = 1, 3, ...
   only (no Bessel root), and they rearrange to (1/(2 pi^2)) * sum 1/n^2.
 
-Every route builds its terms once, as a float64 array up to the largest
-level asked for (route 1 with the odd-squares builder of ``series``), and
-each level is ``series._kahan`` of its own prefix.  Each estimate comes with
-an analytic tail bound that is validated (never assumed) by the test suite.
+Each route is a row of ``_ROUTES`` (scale, tail constant, term builder), and
+``series._table`` reads its levels from one term array, built up to the
+largest, each level the sum of its own prefix.  Each estimate comes with an
+analytic tail bound that is validated (never assumed) by the test suite.
 """
 
 from __future__ import annotations
@@ -26,16 +26,21 @@ from typing import Sequence
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _kahan, _power_terms, _require_count, _require_level
+from .series import _kahan, _power_terms, _require_count, _table
 
 ZETA2 = PI_SQUARED / 6.0
 
-PROOF_IDS = (1, 2, 3)
+#: Each route as (scale, tail constant, term builder): the estimate at J terms
+#: is scale times the sum of the first J terms, with frozen tail bound
+#: constant / J.  Route 1's constant is the midpoint bound on sum (j - 1/2)^(-2);
+#: routes 2 and 3 reduce to the square-reciprocal tail, bounded by 1/J.
+_ROUTES = {
+    1: (4.0 / 3.0, 1.0 / 3.0, lambda n: _power_terms(2.0, n, 2)),
+    2: (PI_SQUARED / 2.0, 1.0, lambda n: mercer_terms(KernelKind.DEMEANED, 1.0, n, 1)),
+    3: (2.0 * PI_SQUARED, 1.0, lambda n: mercer_terms(KernelKind.DETRENDED, 0.5, n, 2)),
+}
 
-#: Frozen tail-bound constants: bound = _TAIL_CONSTANT[proof] / J.  Route 1
-#: comes from the midpoint bound on sum (j - 1/2)^(-2); routes 2 and 3 both
-#: reduce to the square-reciprocal tail, bounded by the integral 1/J.
-_TAIL_CONSTANT = {1: 1.0 / 3.0, 2: 1.0, 3: 1.0}
+PROOF_IDS = tuple(_ROUTES)
 
 #: Rounding allowance added to every tail bound.  The route-1 midpoint bound
 #: is sharp to O(1/J^3), which at J = 1e5 is smaller than the double-rounding
@@ -92,7 +97,7 @@ def proof_tail_bound(proof: int, j_terms: int) -> float:
     """
     _check_proof(proof)
     _require_count(j_terms, "j_terms")
-    return _TAIL_CONSTANT[proof] / j_terms + _FLOAT_SLACK
+    return _ROUTES[proof][1] / j_terms + _FLOAT_SLACK
 
 
 @dataclass(frozen=True)
@@ -121,24 +126,14 @@ def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
     Route 1 sums the odd-square reciprocals, built as for
     ``series.odd_squares_partial``, and scales by 4/3 (the closed form of its
     Mercer sum at t = 1); routes 2 and 3 sum the Mercer terms and rescale,
-    route 3 over the odd indices alone.  Every route builds its terms once, up to the largest level, and
-    each level is ``_kahan`` of its own prefix, so it is bit-identical to
-    summing that level alone.
+    route 3 over the odd indices alone.  The levels are read by
+    ``series._table``: it checks them all before any term is built, builds
+    the route's terms once, up to the largest level, and sums each level's
+    own prefix, so a level is bit-identical to summing it alone.
     """
     _check_proof(proof)
-    if not j_values:
-        raise ValueError("j_values must be non-empty")
-    for j_terms in j_values:
-        _require_count(j_terms, "j_terms")
-        _require_level(j_terms, "truncation level")
-    j_max = max(j_values)
-    if proof == 1:
-        scale, terms = 4.0 / 3.0, _power_terms(2.0, j_max, 2)
-    else:
-        kind, t, step, scale = ((KernelKind.DEMEANED, 1.0, 1, PI_SQUARED / 2.0) if proof == 2
-                                else (KernelKind.DETRENDED, 0.5, 2, 2.0 * PI_SQUARED))
-        terms = mercer_terms(kind, t, j_max, step)
-    estimates = [scale * _kahan(terms[:j_terms]) for j_terms in j_values]
+    scale, _, build = _ROUTES[proof]
+    estimates = [scale * total for total in _table(j_values, build)]
     rows = tuple(ConvergenceRow(j_terms, estimate, abs(ZETA2 - estimate),
                                 proof_tail_bound(proof, j_terms))
                  for j_terms, estimate in zip(j_values, estimates))

@@ -1,14 +1,15 @@
 """Classical partial sums related to zeta(2) = pi^2/6.
 
 Each series is one float64 array of its terms, built up to the largest level
-asked for, and every sum is ``_kahan`` of a prefix of it: ``math.fsum``,
-correctly rounded (Shewchuk 1997), so results are deterministic and ulp-level
-identities between routes hold.  Array terms round as the scalar Python
-expressions do (``np.float_power`` calls the ``pow`` of ``**``; ``np.power``
-may not).  Each table level sums its own prefix, so it is bit-identical to
-the scalar sum of that length; the zeta and triangular scalars are one-level
-tables.  Every result is a float.  Levels above ``_MAX_TERMS`` are refused
-before any term is built.
+asked for, and every sum is ``_kahan`` of a prefix of it: ``math.fsum`` reading
+the array's buffer, correctly rounded (Shewchuk 1997), so results are
+deterministic and ulp-level identities between routes hold.  Array terms round
+as the scalar Python expressions do (``np.float_power`` calls the ``pow`` of
+``**``; ``np.power`` may not).  ``_table`` is the one level walker, here and
+for ``mercer.proof_report``: each level sums its own prefix, so it is
+bit-identical to the scalar sum of that length; the zeta and triangular
+scalars are one-level tables.  Every result is a float.  Levels above
+``_MAX_TERMS`` are refused before any term is built.
 
 Index conventions: ``zeta_partial`` and ``triangular_partial`` take the
 number of terms ``n >= 1``; the odd-denominator sums and their residuals
@@ -18,26 +19,21 @@ take the last summation index ``n >= 0``, so ``n = 0`` means one term.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 #: Largest level a partial sum or ``mercer.proof_report`` accepts.  Peak RSS at
-#: 1e7 (child ``getrusage``): 111 MB for a zeta, odd-square or Leibniz sum and
-#: a zeta table (one 80 MB terms array, built in place), 185 MB for a
-#: triangular sum or table (one int64 temporary), ``proof_report`` 111 MB on
-#: route 1 and 347 MB on routes 2 and 3 (the eigenfunctions).
+#: 1e7 (child ``getrusage``): 108 MB for a zeta, odd-square or Leibniz sum, a
+#: zeta table and ``proof_report`` route 1 (one 80 MB terms array, built in
+#: place), 184 MB for a triangular sum or table (one int64 temporary), 346 MB
+#: for ``proof_report`` routes 2 and 3 (the eigenfunctions).
 _MAX_TERMS = 10**7
-
-#: Floats per ``tolist()`` in ``_kahan``, so a whole-array list is never built.
-_CHUNK = 1 << 16
 
 
 def _kahan(terms: np.ndarray) -> float:
-    """The correctly rounded sum of a float64 array, fed to ``math.fsum`` in chunks."""
-    return math.fsum(chain.from_iterable(terms[i:i + _CHUNK].tolist()
-                                         for i in range(0, terms.size, _CHUNK)))
+    """The correctly rounded sum of a 1-D float64 array: ``math.fsum`` of its buffer."""
+    return math.fsum(memoryview(terms))
 
 
 def _require_count(n: int, name: str = "n") -> None:
@@ -80,12 +76,12 @@ def _leibniz_terms(count: int) -> np.ndarray:
 
 
 def _table(n_values: Sequence[int], build: Callable[..., np.ndarray], *args) -> list[float]:
-    """Sums of the first n terms at each n in ``n_values``, in request order,
-    from one array ``build(*args, max(n_values))``."""
+    """Sums of the first n terms at each n in ``n_values``, in request order, from
+    one array ``build(*args, max(n_values))``, built once every level is checked."""
     if not n_values:
-        raise ValueError("n_values must be non-empty")
-    _require_count(min(n_values))
-    _require_level(max(n_values))
+        raise ValueError("levels must be non-empty")
+    _require_count(min(n_values), "level")
+    _require_level(max(n_values), "level")
     terms = build(*args, max(n_values))
     return [_kahan(terms[:n]) for n in n_values]
 

@@ -193,14 +193,14 @@ def covariance_test(
     """Z-test the ensemble's covariances at random grid pairs.
 
     Pairs are drawn (deterministically from the seed) among grid columns with
-    nonzero spread; columns where every eigenfunction vanishes, such as the
-    Wiener process at t = 0 or the bridge endpoints, carry no information and
-    are excluded.  If no such column exists the test is skipped and counts as
-    a pass.
+    spread, that is with two distinct values; constant columns, such as the
+    Wiener process at t = 0 or the bridge endpoints where every
+    eigenfunction vanishes, carry no information and are excluded.  If no
+    column has spread the test is skipped and counts as a pass.
     """
     _require_test_settings(pair_count, z_threshold)
     config = ensemble.config
-    usable = np.flatnonzero(ensemble.values.std(axis=0) > 0.0)
+    usable = np.flatnonzero(ensemble.values.max(axis=0) > ensemble.values.min(axis=0))
     skipped = usable.size == 0
     checks = ()
     if not skipped:
@@ -226,16 +226,20 @@ def covariance_test(
     )
 
 
+def _require_regular_target(path: str) -> None:
+    """Refuse an existing path that is not a regular file (a FIFO, a device)."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path!r} exists and is not a regular file")
+
+
 def _write_atomically(path: str, chunks: Iterable[bytes]) -> None:
     """Write chunks to a temp file beside path, then rename it into place.
 
     On any exception the temp file is removed and a file already at path is
     left as it was, so a failed export never leaves a partial file.  Refuses
-    a path that exists and is not a regular file, such as a device or a
-    FIFO, which the rename would replace.
+    a target that is not a regular file before the temp file is opened.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise OSError(f"{path!r} exists and is not a regular file")
+    _require_regular_target(path)
     tmp = f"{path}.{secrets.token_hex(6)}.tmp"
     handle = open(tmp, "xb")
     try:
@@ -412,8 +416,10 @@ def _write_csv(ensemble: PathEnsemble, path: str, parts: int) -> None:
     flushes the parent's buffers or runs ``atexit``.  It runs only
     element-wise numpy, ``%`` and writes, no BLAS, so forking after BLAS has
     started its threads is safe.  On any exception in the parent every live
-    child is killed and reaped; the part files are always removed.
+    child is killed and reaped; the part files are always removed.  A target
+    that is not a regular file is refused before any child is forked.
     """
+    _require_regular_target(path)
     values = ensemble.values
     bounds = [values.shape[0] * k // parts for k in range(parts + 1)]
     parent = os.getpid()
@@ -459,8 +465,7 @@ def write_ensemble_csv(ensemble: PathEnsemble, path: str) -> None:
     one process per CPU this process may run on (forked children, one
     contiguous row range each); the bytes do not depend on how many.
     """
-    values = ensemble.values
-    _write_csv(ensemble, path, _csv_part_count(values.shape[0], values.shape[1]))
+    _write_csv(ensemble, path, _csv_part_count(*ensemble.values.shape))
 
 
 def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:
@@ -475,7 +480,8 @@ def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:
 
 
 def read_klx1(path: str) -> np.ndarray:
-    """Read a KLX1 binary matrix back as an (n_paths, n_grid) float array."""
+    """Read a KLX1 binary matrix back as an (n_paths, n_grid) float array.  A
+    malformed file raises ValueError before any array is sized from its header."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != KLX1_MAGIC:
@@ -484,6 +490,8 @@ def read_klx1(path: str) -> np.ndarray:
         if len(header) != 16:
             raise ValueError("truncated KLX1 header: expected 16 bytes of dimensions")
         n_paths, n_grid = struct.unpack("<QQ", header)
+        if 8 * max(n_paths, n_grid) >= 2**63:
+            raise ValueError(f"KLX1 dimensions {n_paths} x {n_grid} are too large for an array")
         payload = handle.read()
     if len(payload) != 8 * n_paths * n_grid:
         raise ValueError("KLX1 payload size does not match header dimensions")

@@ -81,6 +81,16 @@ class TestVerify:
         assert err.startswith("error: ")
         assert "100000000000000" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--proof", "2", "--J", "10,0"), "level must be >= 1, got 0"),
+        (("verify", "--proof", "3", "--J", "10000001"), "level must be <= 10000000, got 10000001"),
+        (("series", "--which", "triangular", "--N", "0,5"), "level must be >= 1, got 0"),
+        (("series", "--which", "zeta", "--N", "10000001"), "level must be <= 10000000, got 10000001"),
+    ], ids=["verify-low", "verify-high", "series-low", "series-high"])
+    def test_both_level_walkers_word_a_bad_level_alike(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--proof", "1", "--J", "10",
                            "--format", "json")

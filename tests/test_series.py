@@ -26,7 +26,7 @@ from klx import (
     zeta_partial_table,
 )
 from klx import series
-from klx.series import _CHUNK, _MAX_TERMS, _kahan
+from klx.series import _MAX_TERMS, _kahan
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -97,10 +97,40 @@ class TestSummation:
     def test_correctly_rounded_against_exact_rational_sum(self, xs):
         assert _kahan(np.array(xs, dtype=float)) == float(sum(map(Fraction, xs)))
 
-    def test_chunked_sum_equals_fsum_across_chunk_edges(self):
-        terms = np.random.default_rng(7).standard_normal(3 * _CHUNK + 5) * 1e3
-        for count in (0, 1, _CHUNK, _CHUNK + 1, terms.size):
+    def test_prefixes_equal_fsum_of_their_float_lists(self):
+        terms = np.random.default_rng(7).standard_normal(3 * 2**16 + 5) * 1e3
+        for count in (0, 1, 2**16, 2**16 + 1, terms.size):
             assert _kahan(terms[:count]) == math.fsum(terms[:count].tolist())
+
+    @given(st.lists(st.one_of(
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    ), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_of_the_float_list_bit_for_bit(self, xs):
+        # Contiguous, strided, reversed and matrix-column views all read
+        # through the buffer; .hex() tells -0.0 from 0.0.
+        a = np.array(xs, dtype=float)
+        matrix = a[:a.size // 3 * 3].reshape(-1, 3)
+        for view in (a, a[::3], a[1::2], a[::-1], matrix[:, 1], matrix.T[2]):
+            assert _kahan(view).hex() == math.fsum(view.tolist()).hex()
+
+    @pytest.mark.parametrize("xs, error", [
+        ([math.inf, -math.inf], ValueError),
+        ([1e308, 1e308], OverflowError),
+    ])
+    def test_raises_as_fsum_does(self, xs, error):
+        with pytest.raises(error):
+            math.fsum(xs)
+        with pytest.raises(error):
+            _kahan(np.array(xs))
+
+    def test_nan_and_inf_propagate_as_in_fsum(self):
+        for xs in ([1.0, math.nan, 2.0], [math.nan, math.inf], [math.inf, 1.0]):
+            expected = math.fsum(xs)
+            got = _kahan(np.array(xs))
+            assert math.isnan(got) if math.isnan(expected) else got == expected
 
 
 class TestLevelCap:
@@ -120,8 +150,8 @@ class TestLevelCap:
             triangular_partial_table([10, _MAX_TERMS + 1])
 
 
-#: Levels on both sides of the chunk edge of ``_kahan``.
-LEVELS = [1, _CHUNK, _CHUNK + 1, 10**5]
+#: Levels from one term to 10**5, on both sides of 2**16.
+LEVELS = [1, 2**16, 2**16 + 1, 10**5]
 
 
 class TestAgainstScalarTerms:

@@ -11,6 +11,7 @@ import signal
 import stat
 import struct
 import tempfile
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klx import (
+    KLX1_MAGIC,
     KernelKind,
     SimulationConfig,
     covariance_test,
@@ -281,6 +283,18 @@ class TestCovarianceTest:
         report = covariance_test(sample_paths(cfg), pair_count=20, z_threshold=4.0)
         assert not report.skipped
         assert all(c.s > 0.0 and c.t > 0.0 for c in report.checks)
+
+    def test_constant_nonzero_column_excluded_from_sampling(self):
+        # A column of 0.1 in every row has no spread, though its float std is
+        # about 1e-17; it must be left out, not drawn into a zero-stderr pair.
+        cfg = config(truncation=64, n_paths=2000, grid=np.linspace(0.0, 1.0, 5), seed=1)
+        values = sample_paths(cfg).values.copy()
+        values[:, 2] = 0.1
+        assert values[:, 2].std() > 0.0
+        report = covariance_test(PathEnsemble(config=cfg, values=values), pair_count=20,
+                                 z_threshold=4.0)
+        assert not report.skipped and report.passed
+        assert all(0.5 not in (c.s, c.t) and c.s > 0.0 and c.t > 0.0 for c in report.checks)
 
     def test_all_degenerate_grid_skips(self):
         cfg = config(kind=KernelKind.BRIDGE, grid=np.array([0.0, 1.0]))
@@ -655,6 +669,47 @@ class TestKlx1Properties:
                 read_klx1(str(path))
 
 
+    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=2**64 - 1),
+           st.integers(min_value=0, max_value=2**64 - 1), st.binary(max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_dimensions_and_trailing_bytes_are_refused(self, n_paths, n_grid,
+                                                                  claimed_paths, claimed_grid,
+                                                                  trailing):
+        # Any header over a valid payload, plus any trailing bytes: the reader
+        # returns exactly what the header claims, or raises ValueError.
+        payload = np.arange(n_paths * n_grid, dtype="<f8").tobytes()
+        raw = KLX1_MAGIC + struct.pack("<QQ", claimed_paths, claimed_grid) + payload + trailing
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "paths.klx")
+            with open(path, "wb") as handle:
+                handle.write(raw)
+            try:
+                recovered = read_klx1(path)
+            except ValueError:
+                return
+        assert recovered.shape == (claimed_paths, claimed_grid)
+        assert recovered.tobytes() == payload + trailing
+
+    @pytest.mark.parametrize("dims", [
+        (2**64 - 1, 2**64 - 1), (2**32, 2**32), (2**61, 1), (1, 2**61), (2**20, 2**20),
+        (0, 2**64 - 1), (2**64 - 1, 0), (0, 2**63 - 1), (2**60, 0),
+    ])
+    @pytest.mark.parametrize("payload", [b"", b"\x00" * 8, b"\x00" * 24],
+                             ids=["empty", "one-value", "three-values"])
+    def test_huge_dimensions_are_refused_without_allocating(self, tmp_path, dims, payload):
+        path = tmp_path / "huge.klx"
+        path.write_bytes(KLX1_MAGIC + struct.pack("<QQ", *dims) + payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="KLX1"):
+                read_klx1(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestNonRegularTarget:
     """An existing target that is not a regular file is refused, never replaced."""
 
@@ -662,10 +717,15 @@ class TestNonRegularTarget:
         "write", [write_ensemble_csv, write_ensemble_klx1,
                   lambda ensemble, path: simulate._write_csv(ensemble, path, 3)],
         ids=["csv", "klx1", "csv-3-parts"])
-    def test_writers_refuse_a_fifo(self, tmp_path, write):
+    def test_writers_refuse_a_fifo(self, tmp_path, monkeypatch, write):
         target = tmp_path / "fifo"
         os.mkfifo(target)
         ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
+
+        def refuse():
+            raise AssertionError("CSV writer forked for a non-regular target")
+
+        monkeypatch.setattr(os, "fork", refuse)
         with pytest.raises(OSError, match="not a regular file"):
             write(ensemble, str(target))
         assert stat.S_ISFIFO(os.stat(target).st_mode)
