@@ -38,10 +38,10 @@ def main() -> None:
         )
         all_rows.extend(rows)
         path = out_dir / f"basel_{report.proof_id.lower()}.csv"
-        path.write_text(to_csv_text(Table(columns, rows)))
+        path.write_text(to_csv_text(Table(columns, tuple(zip(*rows)))))
         print(f"wrote {path} (honest bounds: {report.passes()})")
 
-    combined = Table(columns, tuple(all_rows))
+    combined = Table(columns, tuple(zip(*all_rows)))
     (out_dir / "basel_all.csv").write_text(to_csv_text(combined))
     print(f"\ntarget pi^2/6 = {ZETA2:.17g}\n")
     print(to_pretty_text(combined))

@@ -40,7 +40,7 @@ def main() -> None:
             worst = max(r.rel_error for r in comparison.rows)
             print(f"{kind.value:10s} {n_nodes:5d} nodes: worst rel error {worst:.3e}")
 
-    table = Table(columns, tuple(rows))
+    table = Table(columns, tuple(zip(*rows)))
     path = out_dir / "oracle_refinement.csv"
     path.write_text(to_csv_text(table))
     print(f"\nwrote {path}\n")

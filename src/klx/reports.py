@@ -1,72 +1,227 @@
 """Tabular output: CSV, JSON and aligned plain text.
 
-Floats are rendered with 17 significant digits in the machine formats so
-values round-trip exactly through text.
+Every machine-format float, in a table, an ``extra`` value or an ensemble
+CSV, is printed by one writer, ``_g17_text``, with the bytes of
+``"%.17g" % x``, so values round-trip exactly through text.  It formats
+numpy blocks by exact integer arithmetic, with a per-value ``%`` fallback
+outside [1e-4, 1e6); the bytes do not depend on the blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
+
+#: Values per writer call, CSV values or the rows of one table column.
+_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
 class Table:
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    """Named columns of equal length.  A float column is a float64 array (a
+    sequence whose first item is a float is converted to one); a label or
+    integer column is a sequence of str or int."""
+
+    names: tuple[str, ...]
+    columns: tuple[Sequence, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(self.names) or len({len(c) for c in self.columns}) != 1:
+            raise ValueError("a table needs one column per name, all of one length")
+        object.__setattr__(self, "columns", tuple(
+            np.asarray(c, dtype=np.float64) if len(c) and isinstance(c[0], (float, np.floating))
+            else c for c in self.columns))
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+# The %.17g writer.  A value x with |x| in [1e-4, 1e6), or +-0, prints in
+# fixed notation.  With E its decimal exponent, in -4..5, the 17 significant
+# digits are those of N = round-half-even(|x| * 10**(16 - E)), computed
+# exactly from the significand m < 2**53 as m * 5**(16 - E) in two 64-bit
+# limbs, shifted right.  The digits of N go into a 32-byte template of four
+# little-endian words, "-0.000d." "d.d.d.d." "d.dddddd" "ddddds..", where s is
+# the separator; the bytes to keep depend only on the sign, E and the index of
+# the last nonzero digit, and come from one row of the keep table.
+_U64 = np.uint64
+_POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
+_TEN16, _TEN17 = _U64(10**16), _U64(10**17)
+#: The separator, "," or "\n", as byte 5 of the fourth template word.
+_SEP = np.array([ord(","), ord("\n")], dtype=np.uint64) << _U64(40)
 
 
-def _json_scalar(value) -> str:
-    """format_value, except that JSON has no inf or nan and quotes strings."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    return format_value(value)
+def _keep_table() -> np.ndarray:
+    """Bytes to keep of the template, by row (sign * 10 + E + 4) * 17 + last
+    nonzero digit; the extra last row keeps nothing."""
+    pos = np.arange(32)
+    digit, dot = np.full(32, 99), np.full(32, 99)
+    digit[[6, 8, 10, 12, 14, 16, *range(18, 29)]] = np.arange(17)
+    dot[[7, 9, 11, 13, 15, 17]] = np.arange(6)
+    sign = np.arange(2)[:, None, None, None]
+    exp = np.arange(-4, 6)[:, None, None]
+    last = np.arange(17)[:, None]
+    keep = (((pos == 0) & (sign == 1)) | (pos == 29) | ((exp < 0) & (pos >= 1) & (pos < 2 - exp))
+            | (digit <= np.maximum(exp, last)) | ((dot == exp) & (last > exp)))
+    return np.vstack([keep.reshape(-1, 32), np.zeros(32, dtype=bool)])
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The formatter's tables, built on first use so that importing klx does
+    not pay for them: the words "-0.000d." by lead digit; per 4-digit group
+    0000..9999 the words "d.d.d.d.", "d.ddd" and "dddd", NUL-padded; per
+    group 0-3 of N and group value, the index in 1..16 of its last nonzero
+    digit (0 if none); the keep table and its row lengths."""
+    digits = np.stack([np.tile(np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8),
+                                         10 ** (3 - i)), 10**i) for i in range(4)], axis=1)
+
+    def words(layout: str) -> np.ndarray:
+        # Byte i is the group's digit layout[i] where that is 0-3, NUL where
+        # it is _, else that character.
+        table = np.zeros((10**4, 8), dtype=np.uint8)
+        for i, c in enumerate(layout):
+            table[:, i] = digits[:, int(c)] if c.isdigit() else 0 if c == "_" else ord(c)
+        return table.view("<u8").ravel()
+
+    last = (np.arange(1, 5, dtype=np.int8) * (digits != ord("0"))).max(axis=1)
+    keep = _keep_table()
+    return (words("-0.0003.")[:10], words("0.1.2.3."), words("0.123___"), words("0123____"),
+            (last + 4 * np.arange(4, dtype=np.int8)[:, None]) * (last > 0), keep, keep.sum(axis=1))
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """round-half-even(m * 2**e * 10**(16 - exp)) for m < 2**53 and 16 - exp
+    in 10..21, with the product shifted right by 1..63 bits."""
+    k = 16 - exp
+    p = _POW5[k]
+    mh, ml = m >> _U64(32), m & _U64(2**32 - 1)
+    ph, pl = p >> _U64(32), p & _U64(2**32 - 1)
+    lo = ml * pl
+    mid = mh * pl + ml * ph
+    low = lo + (mid << _U64(32))
+    high = mh * ph + (mid >> _U64(32)) + (low < lo)
+    shift = (-(k + e)).astype(np.uint64)
+    n = (high << (_U64(64) - shift)) | (low >> shift)
+    rest = low & ((_U64(1) << shift) - _U64(1))
+    return n + (rest + (n & _U64(1)) > _U64(1) << (shift - _U64(1)))
+
+
+def _g17_text(x: np.ndarray, row_end: np.ndarray) -> bytes:
+    """Bytes of ``"%.17g" % v`` for each v in x, each followed by "\\n" where
+    row_end is true and by "," elsewhere."""
+    lead_words, dotted, d5dot, plain, last_digit, keep, kept = _g17_tables()
+    a = np.abs(x)
+    fast = ((a >= 1e-4) & (a < 1e6)) | (a == 0.0)
+    a[~fast] = 0.0
+    frac, e = np.frexp(a)
+    m = (frac * 2.0**53).astype(np.uint64)
+    e = e.astype(np.int64) - 53
+    zero = a == 0.0
+    # Biased low, so E is exact or one too small; the latter gives N > 10**17.
+    exp = np.floor(np.log10(np.where(zero, 1.0, a)) - 1e-9).astype(np.int64)
+    exp[zero] = 0
+    n = _scaled(m, e, exp)
+    low = np.flatnonzero(n > _TEN17)
+    exp[low] += 1
+    n[low] = _scaled(m[low], e[low], exp[low])
+    carry = n == _TEN17
+    n[carry] = _TEN16
+    exp += carry
+    fast &= exp <= 5
+    lead = n // _TEN16
+    rest = n - lead * _TEN16
+    high = rest // _U64(10**8)
+    groups = (*np.divmod(high, _U64(10**4)), *np.divmod(rest - high * _U64(10**8), _U64(10**4)))
+    words = np.empty((x.size, 4), dtype="<u8")
+    words[:, 0] = lead_words[lead]
+    words[:, 1] = dotted[groups[0]]
+    third = plain[groups[2]]
+    words[:, 2] = d5dot[groups[1]] | (third << _U64(40))
+    words[:, 3] = ((third >> _U64(24)) | (plain[groups[3]] << _U64(8))
+                   | _SEP[row_end.view(np.uint8)])
+    last = np.maximum(np.maximum(last_digit[0][groups[0]], last_digit[1][groups[1]]),
+                      np.maximum(last_digit[2][groups[2]], last_digit[3][groups[3]]))
+    row = (np.signbit(x) * 10 + exp + 4) * 17 + last
+    row[~fast] = keep.shape[0] - 1
+    text = np.compress(keep.take(row, axis=0).ravel(), words.view(np.uint8).ravel()).tobytes()
+    slow = np.flatnonzero(~fast)
+    if slow.size == 0:
+        return text
+    ends = np.cumsum(kept.take(row))
+    pieces, done = [], 0
+    for i in slow.tolist():
+        pieces += [text[done:ends[i]], ("%.17g%s" % (x[i], "\n" if row_end[i] else ",")).encode()]
+        done = ends[i]
+    pieces.append(text[done:])
+    return b"".join(pieces)
+
+
+def _csv_blocks(values: np.ndarray, start: int, stop: int):
+    """Encoded CSV rows start..stop, formatted _BLOCK_VALUES values at a time."""
+    width = values.shape[1]
+    flat = np.asarray(values[start:stop], dtype=np.float64).reshape(-1)
+    for i in range(0, flat.size, _BLOCK_VALUES):
+        block = flat[i:i + _BLOCK_VALUES]
+        yield _g17_text(block, np.arange(i + 1, i + 1 + block.size) % width == 0)
+
+
+def _cells(column: Sequence, start: int, as_json: bool) -> list[str]:
+    """Text of the cells column[start:start + _BLOCK_VALUES]; JSON has "null"
+    for inf and nan, quoted labels and booleans true and false."""
+    block = column[start:start + _BLOCK_VALUES]
+    if isinstance(block, np.ndarray) and block.dtype == np.float64:
+        cells = _g17_text(block, np.ones(block.size, dtype=bool))[:-1].decode("ascii").split("\n")
+        if as_json:
+            for i in np.flatnonzero(~np.isfinite(block)).tolist():
+                cells[i] = "null"
+        return cells
+    if as_json and isinstance(block[0], (str, bool)):
+        quoted = {v: json.dumps(v) for v in set(block)}
+        return [quoted[v] for v in block]
+    return list(map(str, block))
+
+
+def _g17(x: float) -> str:
+    """``"%.17g" % x``, through the block writer."""
+    return _cells(np.array([x], dtype=np.float64), 0, False)[0]
+
+
+def _blocks(table: Table, template: str, sep: str, as_json: bool) -> Iterator[str]:
+    """Each block of rows, every row through the % template, joined by sep."""
+    for start in range(0, len(table.columns[0]), _BLOCK_VALUES):
+        rows = zip(*(_cells(column, start, as_json) for column in table.columns))
+        yield sep.join(map(template.__mod__, rows))
+
+
+def _json_fields(names: Sequence[str]) -> str:
+    return ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in names)
 
 
 def to_csv_text(table: Table) -> str:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    template = ",".join(["%s"] * len(table.names))
+    return "\n".join([",".join(table.names), *_blocks(table, template, "\n", False), ""])
 
 
 def to_json_text(table: Table, extra: dict | None = None) -> str:
-    """One JSON object with a "rows" array; extra top-level keys optional."""
-    row_objects = []
-    for row in table.rows:
-        fields = ", ".join(
-            f"{json.dumps(col)}: {_json_scalar(v)}" for col, v in zip(table.columns, row)
-        )
-        row_objects.append("{" + fields + "}")
-    parts = ['"rows": [' + ", ".join(row_objects) + "]"]
+    """One JSON object with a "rows" array, then the keys of extra if any."""
+    rows = ", ".join(_blocks(table, "{" + _json_fields(table.names) + "}", ", ", True))
+    fields = ""
     if extra:
-        for key, value in extra.items():
-            parts.append(f"{json.dumps(key)}: {_json_scalar(value)}")
-    return "{" + ", ".join(parts) + "}\n"
+        values = Table(tuple(extra), tuple([value] for value in extra.values()))
+        fields = ", " + next(_blocks(values, _json_fields(values.names), "", True))
+    return "".join(['{"rows": [', rows, "]", fields, "}\n"])
 
 
 def to_pretty_text(table: Table) -> str:
-    cells = [[format_value(v) for v in row] for row in table.rows]
-    widths = [
-        max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
-        for i, col in enumerate(table.columns)
-    ]
-    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(table.columns))
-    lines = [header, "  ".join("-" * w for w in widths)]
-    for row in cells:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(widths))))
-    return "\n".join(lines) + "\n"
+    """A header, a rule and the rows, each column padded to its widest cell."""
+    starts = range(0, len(table.columns[0]), _BLOCK_VALUES)
+    widths = [max([len(name), *(max(map(len, _cells(column, start, False))) for start in starts)])
+              for name, column in zip(table.names, table.columns)]
+    template = "  ".join(f"%-{width}s" for width in widths)
+    rule = "  ".join("-" * width for width in widths)
+    return "\n".join([template % table.names, rule, *_blocks(table, template, "\n", False), ""])
 
 
 def render(table: Table, fmt: str, extra: dict | None = None) -> str:

@@ -45,10 +45,14 @@ def test_another_host_fails_with_how_to_regenerate(stored, found):
     assert "fingerprint" in problem and golden.REGENERATE in problem
 
 
+def sixteen_digits(x, row_end):
+    return "".join("%.16g%s" % (v, "\n" if end else ",")
+                   for v, end in zip(x.tolist(), row_end.tolist())).encode()
+
+
 def test_a_16_digit_writer_fails(stored, monkeypatch):
-    exact = reports.format_value
-    monkeypatch.setattr(reports, "format_value",
-                        lambda v: f"{v:.16g}" if isinstance(v, float) else exact(v))
-    names = ["verify csv", "eigen detrended json", "series zeta from-1 pretty"]
+    monkeypatch.setattr(reports, "_g17_text", sixteen_digits)
+    names = ["verify csv", "eigen detrended json", "series zeta from-1 pretty",
+             "simulate long seed 1 csv"]
     problems = golden.mismatches(stored, golden.digests(names))
     assert [problem.split(":")[0] for problem in problems] == names

@@ -1,18 +1,24 @@
-"""Tests for table rendering: round-trip digits, CSV and JSON shapes."""
+"""Tests for table rendering: round-trip digits, CSV, JSON and pretty shapes,
+and the %.17g block writer behind every machine-format float."""
 
 import json
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from klx import reports
 from klx.reports import Table, render, to_csv_text, to_json_text, to_pretty_text
 
 
 @pytest.fixture
 def table():
     return Table(
-        columns=("name", "n", "value"),
-        rows=(("alpha", 3, 1.0 / 3.0), ("beta", 10, math.pi)),
+        names=("name", "n", "value"),
+        columns=(["alpha", "beta"], [3, 10], np.array([1.0 / 3.0, math.pi])),
     )
 
 
@@ -49,3 +55,165 @@ def test_render_dispatch(table):
     assert render(table, "pretty") == to_pretty_text(table)
     with pytest.raises(ValueError):
         render(table, "yaml")
+
+
+SPECIAL = Table(("label", "x"), (["a", "b", "c", "d", "e"],
+                                 np.array([math.nan, math.inf, -math.inf, -0.0, 1e6])))
+
+
+def test_non_finite_floats_are_null_in_json_only():
+    assert to_csv_text(SPECIAL) == "label,x\na,nan\nb,inf\nc,-inf\nd,-0\ne,1000000\n"
+    assert json.loads(to_json_text(SPECIAL))["rows"] == [
+        {"label": "a", "x": None}, {"label": "b", "x": None}, {"label": "c", "x": None},
+        {"label": "d", "x": -0.0}, {"label": "e", "x": 1e6}]
+    assert to_json_text(SPECIAL).count("null") == 3
+    assert to_pretty_text(SPECIAL).splitlines() == [
+        "label  x      ", "-----  -------", "a      nan    ", "b      inf    ",
+        "c      -inf   ", "d      -0     ", "e      1000000"]
+
+
+def test_fallback_edge_and_negative_zero_match_per_value_format():
+    # 1e6 is the first value past the fast window; its neighbours sit on both sides.
+    x = np.array([-0.0, 0.0, np.nextafter(1e6, 0.0), 1e6, np.nextafter(1e6, 2e6), 1e-4,
+                  np.nextafter(1e-4, 0.0)])
+    text = to_csv_text(Table(("x",), (x,)))
+    assert text == "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist())
+    assert text.splitlines()[1:5] == ["-0", "0", "999999.99999999988", "1000000"]
+
+
+def test_labels_are_json_quoted():
+    label = 'say "hi" \\ bye'
+    text = to_json_text(Table(("label", "j"), ([label], [1])))
+    assert json.loads(text)["rows"] == [{"label": label, "j": 1}]
+    assert '"say \\"hi\\" \\\\ bye"' in text
+
+
+def test_extra_values_go_through_the_writer():
+    text = to_json_text(Table(("j",), ([1],)), extra={"passed": False, "target": 0.1,
+                                                      "bad": math.nan, "count": 3})
+    assert text == ('{"rows": [{"j": 1}], "passed": false, "target": 0.10000000000000001, '
+                    '"bad": null, "count": 3}\n')
+
+
+def test_zero_row_table():
+    empty = Table(("s", "truncated_target"), ([], []))
+    assert to_csv_text(empty) == "s,truncated_target\n"
+    assert to_json_text(empty, extra={"skipped": True}) == '{"rows": [], "skipped": true}\n'
+    assert to_pretty_text(empty) == "s  truncated_target\n-  ----------------\n"
+
+
+def test_a_sequence_of_floats_becomes_a_float_column():
+    table = Table(("x", "n"), ([0.1, 2.0], (1, 2)))
+    assert table.columns[0].dtype == np.float64
+    assert to_csv_text(table) == "x,n\n0.10000000000000001,1\n2,2\n"
+
+
+def test_columns_must_match_the_names():
+    with pytest.raises(ValueError, match="one column per name"):
+        Table(("a", "b"), ([1, 2], [1]))
+    with pytest.raises(ValueError, match="one column per name"):
+        Table(("a", "b"), ([1, 2],))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+def test_rows_across_block_edges_match_per_value_format(fmt):
+    n = 2 * reports._BLOCK_VALUES + 3
+    x = np.random.default_rng(n).standard_normal(n) * 10.0 ** (np.arange(n) % 13 - 6)
+    x[::7] = 1e-7
+    table = Table(("j", "x"), (range(n), x))
+    text = render(table, fmt)
+    cells = [f"{v:.17g}" for v in x.tolist()]
+    if fmt == "csv":
+        assert text.splitlines()[1:] == [f"{j},{c}" for j, c in enumerate(cells)]
+    elif fmt == "json":
+        assert [row["x"] for row in json.loads(text)["rows"]] == x.tolist()
+        assert text.count(cells[-1]) == 1
+    else:
+        width = max(map(len, cells))
+        assert text.splitlines()[2:] == [f"{j:<5}  {c:<{width}}" for j, c in enumerate(cells)]
+
+
+def g17_reference(values, row_end):
+    """Test-only reference: ``"%.17g" % v`` per value, then "\\n" or ","."""
+    return "".join("%.17g%s" % (v, "\n" if end else ",")
+                   for v, end in zip(np.asarray(values, dtype=float).tolist(),
+                                     np.asarray(row_end).tolist())).encode()
+
+
+def assert_g17(values):
+    """The block formatter against the reference, with a row end every fifth value."""
+    values = np.asarray(values, dtype=float)
+    row_end = np.arange(1, values.size + 1) % 5 == 0
+    assert reports._g17_text(values, row_end) == g17_reference(values, row_end)
+
+
+def shown_digits(x):
+    """Significant digits of ``"%.17g" % x`` after trailing zeros are stripped."""
+    return ("%.16e" % abs(x))[:18].replace(".", "").rstrip("0")
+
+
+def with_digits(exp, digits):
+    """The first double k * 10**(exp + 1 - digits), for a ``digits``-digit k
+    not ending in 0, whose %.17g shows exactly ``digits`` significant digits."""
+    start = int("123456789123456789"[:digits])
+    for k in range(start, 10**digits):
+        x = float(f"{k}e{exp + 1 - digits}")
+        if k % 10 and len(shown_digits(x)) == digits:
+            return x
+    raise AssertionError(f"no {digits}-digit double found at exponent {exp}")
+
+
+class TestG17Formatter:
+    """reports._g17_text against ``"%.17g" % x``, byte for byte."""
+
+    EDGES = [0.99999999999999999, 9.9999999999999995e-5, 999999.99999999999, 1e-4, 1e6,
+             0.1, 0.5, 1.5, 100000.0, 123456.0, 0.0, 5e-324, 2.2250738585072014e-308,
+             np.inf, np.nan, 1e300, 1e16, 1e17, 12345678901234567.0]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        assert_g17(values)
+
+    @given(st.lists(st.floats(min_value=1e-5, max_value=1e7)
+                    | st.floats(min_value=-1e7, max_value=-1e-5), min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_floats_around_the_fixed_range(self, values):
+        assert_g17(values)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        assert_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_edge_table(self):
+        values = [*self.EDGES]
+        for k in range(-5, 8):
+            power = float(f"1e{k}")
+            values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+        values += [-v for v in values]
+        assert_g17(values)
+        assert_g17([np.nan, -np.nan, np.inf, -np.inf])
+
+    def test_round_half_even_ties(self):
+        # Ties to 17 digits in the fixed range: odd m / 2**(17 - E) for E in -4..5.
+        ties = [m / 2.0 ** (17 - exp) for exp in range(-4, 6)
+                for m in (math.ceil(1.5 * 10.0**exp * 2 ** (17 - exp)) | 1) + 2 * np.arange(8)]
+        exact = [Decimal(x).as_tuple().digits for x in ties]
+        found = [x for x, d in zip(ties, exact) if len(d) == 18 and d[-1] == 5]
+        assert len(found) == 80
+        # Half of them keep an even 17th digit, which half-up rounding would raise.
+        assert sum(d[16] % 2 == 0 for d in exact) == 40
+        assert_g17(found + [-x for x in found])
+
+    @pytest.mark.parametrize("exp", range(-4, 6))
+    def test_each_count_of_trailing_zeros(self, exp):
+        values = [with_digits(exp, digits) for digits in range(1, 18)]
+        assert [math.floor(math.log10(x)) for x in values] == [exp] * 17
+        assert_g17(values + [-x for x in values])
+
+    def test_fallback_at_both_ends(self):
+        assert_g17([1e-5, 0.5, 0.25, 1e7])
+        assert_g17([1e-5])
+        assert_g17([np.nan, 1e300, -5e-324])
+        assert reports._g17_text(np.empty(0), np.empty(0, dtype=bool)) == b""

@@ -12,7 +12,6 @@ import stat
 import struct
 import tempfile
 import tracemalloc
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from klx import (
     write_ensemble_csv,
     write_ensemble_klx1,
 )
-from klx import simulate
+from klx import reports, simulate
 from klx.simulate import _MAX_ENTRIES, PathEnsemble, _write_atomically
 
 
@@ -531,105 +530,19 @@ class TestCsvPartition:
         assert count(10**4, 101) == 1
 
 
-def g17_reference(values, row_end):
-    """Test-only reference: ``"%.17g" % v`` per value, then "\\n" or ","."""
-    return "".join("%.17g%s" % (v, "\n" if end else ",")
-                   for v, end in zip(np.asarray(values, dtype=float).tolist(),
-                                     np.asarray(row_end).tolist())).encode()
-
-
-def assert_g17(values):
-    """The block formatter against the reference, with a row end every fifth value."""
-    values = np.asarray(values, dtype=float)
-    row_end = np.arange(1, values.size + 1) % 5 == 0
-    assert simulate._g17_text(values, row_end) == g17_reference(values, row_end)
-
-
-def shown_digits(x):
-    """Significant digits of ``"%.17g" % x`` after trailing zeros are stripped."""
-    return ("%.16e" % abs(x))[:18].replace(".", "").rstrip("0")
-
-
-def with_digits(exp, digits):
-    """The first double k * 10**(exp + 1 - digits), for a ``digits``-digit k
-    not ending in 0, whose %.17g shows exactly ``digits`` significant digits."""
-    start = int("123456789123456789"[:digits])
-    for k in range(start, 10**digits):
-        x = float(f"{k}e{exp + 1 - digits}")
-        if k % 10 and len(shown_digits(x)) == digits:
-            return x
-    raise AssertionError(f"no {digits}-digit double found at exponent {exp}")
-
-
-class TestG17Formatter:
-    """simulate._g17_text against ``"%.17g" % x``, byte for byte."""
-
-    EDGES = [0.99999999999999999, 9.9999999999999995e-5, 999999.99999999999, 1e-4, 1e6,
-             0.1, 0.5, 1.5, 100000.0, 123456.0, 0.0, 5e-324, 2.2250738585072014e-308,
-             np.inf, np.nan, 1e300, 1e16, 1e17, 12345678901234567.0]
-
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
-    @settings(max_examples=300, deadline=None)
-    def test_any_float(self, values):
-        assert_g17(values)
-
-    @given(st.lists(st.floats(min_value=1e-5, max_value=1e7)
-                    | st.floats(min_value=-1e7, max_value=-1e-5), min_size=1))
-    @settings(max_examples=300, deadline=None)
-    def test_floats_around_the_fixed_range(self, values):
-        assert_g17(values)
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1)))
-    @settings(max_examples=300, deadline=None)
-    def test_any_bit_pattern(self, bits):
-        assert_g17(np.array(bits, dtype=np.uint64).view(np.float64))
-
-    def test_edge_table(self):
-        values = [*self.EDGES]
-        for k in range(-5, 8):
-            power = float(f"1e{k}")
-            values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
-        values += [-v for v in values]
-        assert_g17(values)
-        assert_g17([np.nan, -np.nan, np.inf, -np.inf])
-
-    def test_round_half_even_ties(self):
-        # Ties to 17 digits in the fixed range: odd m / 2**(17 - E) for E in -4..5.
-        ties = [m / 2.0 ** (17 - exp) for exp in range(-4, 6)
-                for m in (math.ceil(1.5 * 10.0**exp * 2 ** (17 - exp)) | 1) + 2 * np.arange(8)]
-        exact = [Decimal(x).as_tuple().digits for x in ties]
-        found = [x for x, d in zip(ties, exact) if len(d) == 18 and d[-1] == 5]
-        assert len(found) == 80
-        # Half of them keep an even 17th digit, which half-up rounding would raise.
-        assert sum(d[16] % 2 == 0 for d in exact) == 40
-        assert_g17(found + [-x for x in found])
-
-    @pytest.mark.parametrize("exp", range(-4, 6))
-    def test_each_count_of_trailing_zeros(self, exp):
-        values = [with_digits(exp, digits) for digits in range(1, 18)]
-        assert [math.floor(math.log10(x)) for x in values] == [exp] * 17
-        assert_g17(values + [-x for x in values])
-
-    def test_fallback_at_both_ends(self):
-        assert_g17([1e-5, 0.5, 0.25, 1e7])
-        assert_g17([1e-5])
-        assert_g17([np.nan, 1e300, -5e-324])
-        assert simulate._g17_text(np.empty(0), np.empty(0, dtype=bool)) == b""
-
-
 class TestCsvBlocks:
     """Block edges of the CSV writer: the bytes are the per-value reference."""
 
     @pytest.mark.parametrize("parts", [1, 2])
-    @pytest.mark.parametrize("shape", [(3, 1), (simulate._CSV_BLOCK_VALUES + 1, 1),
-                                       (1, 2 * simulate._CSV_BLOCK_VALUES + 5),
-                                       (simulate._CSV_BLOCK_VALUES // 7 + 3, 7)],
+    @pytest.mark.parametrize("shape", [(3, 1), (reports._BLOCK_VALUES + 1, 1),
+                                       (1, 2 * reports._BLOCK_VALUES + 5),
+                                       (reports._BLOCK_VALUES // 7 + 3, 7)],
                              ids=["G-1", "G-1-past-a-block", "one-row", "ragged-last-block"])
     def test_block_edges(self, tmp_path, shape, parts):
         size = shape[0] * shape[1]
         values = np.random.default_rng(size).standard_normal(size)
         # Values that take the per-value fallback, on both sides of each block edge.
-        for edge in range(0, size + 1, simulate._CSV_BLOCK_VALUES):
+        for edge in range(0, size + 1, reports._BLOCK_VALUES):
             values[max(edge - 1, 0)] = 1e-7
             values[min(edge, size - 1)] = -3e9
         values = values.reshape(shape)
@@ -700,14 +613,27 @@ class TestKlx1Properties:
     def test_huge_dimensions_are_refused_without_allocating(self, tmp_path, dims, payload):
         path = tmp_path / "huge.klx"
         path.write_bytes(KLX1_MAGIC + struct.pack("<QQ", *dims) + payload)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="KLX1"):
-                read_klx1(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert_refused_in_under_a_mib(path)
+
+    def test_huge_payload_is_refused_without_reading_it(self, tmp_path):
+        # A 1 x 1 header over a sparse 256 MiB payload: the file size alone refuses it.
+        path = tmp_path / "huge-payload.klx"
+        with open(path, "wb") as handle:
+            handle.write(KLX1_MAGIC + struct.pack("<QQ", 1, 1))
+            handle.truncate(20 + 2**28)
+        assert_refused_in_under_a_mib(path)
+
+
+def assert_refused_in_under_a_mib(path):
+    """read_klx1 raises a KLX1 ValueError with a tracemalloc peak under 1 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="KLX1"):
+            read_klx1(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestNonRegularTarget:
