@@ -43,6 +43,11 @@ COMMANDS = {
        for levels in ("0,1,10,100000", "1,10,100000") for fmt in FORMATS},
     **{f"eigen {kind} {fmt}": ("eigen", "--kind", kind, "--j-max", "50", "--format", fmt)
        for kind in KINDS for fmt in FORMATS},
+    # lambda_j passes 1e6 near j = 318: the writer's fallback takes over mid-column
+    # and sets pretty's width.
+    **{f"eigen detrended 400 {fmt}": ("eigen", "--kind", "detrended", "--j-max", "400",
+                                      "--format", fmt)
+       for fmt in FORMATS},
     **{f"oracle {kind} {side}": ("oracle", "--kind", kind, *args, "--format", "json")
        for kind in KINDS
        for side, args in (("dense", ("--nodes", "100", "--eigs", "5")),
