@@ -3,8 +3,9 @@
 Every machine-format float, in a table, an ``extra`` value or an ensemble
 CSV, is printed by one writer, ``_g17_text``, with the bytes of
 ``"%.17g" % x``, so values round-trip exactly through text.  It formats
-numpy blocks by exact integer arithmetic, with a per-value ``%`` fallback
-outside [1e-4, 1e6); the bytes do not depend on the blocks.
+numpy blocks by exact integer arithmetic, with ``%`` text for values outside
+[1e-4, 1e6) written into the same template; the bytes do not depend on the
+blocks.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class Table:
 # limbs, shifted right.  The digits of N go into a 32-byte template of four
 # little-endian words, "-0.000d." "d.d.d.d." "d.dddddd" "ddddds..", where s is
 # the separator; the bytes to keep depend only on the sign, E and the index of
-# the last nonzero digit, and come from one row of the keep table.
+# the last nonzero digit, and come from one row of the keep table.  A value
+# outside the window has its "%.17g" text and separator, at most 25 bytes,
+# written into its template instead, under a row keeping the first L bytes.
 _U64 = np.uint64
 _POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
 _TEN16, _TEN17 = _U64(10**16), _U64(10**17)
@@ -54,7 +57,7 @@ _SEP = np.array([ord(","), ord("\n")], dtype=np.uint64) << _U64(40)
 
 def _keep_table() -> np.ndarray:
     """Bytes to keep of the template, by row (sign * 10 + E + 4) * 17 + last
-    nonzero digit; the extra last row keeps nothing."""
+    nonzero digit; then 33 prefix rows, the L-th keeping the first L bytes."""
     pos = np.arange(32)
     digit, dot = np.full(32, 99), np.full(32, 99)
     digit[[6, 8, 10, 12, 14, 16, *range(18, 29)]] = np.arange(17)
@@ -64,7 +67,7 @@ def _keep_table() -> np.ndarray:
     last = np.arange(17)[:, None]
     keep = (((pos == 0) & (sign == 1)) | (pos == 29) | ((exp < 0) & (pos >= 1) & (pos < 2 - exp))
             | (digit <= np.maximum(exp, last)) | ((dot == exp) & (last > exp)))
-    return np.vstack([keep.reshape(-1, 32), np.zeros(32, dtype=bool)])
+    return np.vstack([keep.reshape(-1, 32), pos < np.arange(33)[:, None]])
 
 
 @functools.cache
@@ -111,7 +114,7 @@ def _scaled(m: np.ndarray, e: np.ndarray, exp: np.ndarray) -> np.ndarray:
 def _g17_text(x: np.ndarray, row_end: np.ndarray) -> bytes:
     """Bytes of ``"%.17g" % v`` for each v in x, each followed by "\\n" where
     row_end is true and by "," elsewhere."""
-    lead_words, dotted, d5dot, plain, last_digit, keep, kept = _g17_tables()
+    lead_words, dotted, d5dot, plain, last_digit, keep, _ = _g17_tables()
     a = np.abs(x)
     fast = ((a >= 1e-4) & (a < 1e6)) | (a == 0.0)
     a[~fast] = 0.0
@@ -144,18 +147,12 @@ def _g17_text(x: np.ndarray, row_end: np.ndarray) -> bytes:
     last = np.maximum(np.maximum(last_digit[0][groups[0]], last_digit[1][groups[1]]),
                       np.maximum(last_digit[2][groups[2]], last_digit[3][groups[3]]))
     row = (np.signbit(x) * 10 + exp + 4) * 17 + last
-    row[~fast] = keep.shape[0] - 1
-    text = np.compress(keep.take(row, axis=0).ravel(), words.view(np.uint8).ravel()).tobytes()
     slow = np.flatnonzero(~fast)
-    if slow.size == 0:
-        return text
-    ends = np.cumsum(kept.take(row))
-    pieces, done = [], 0
-    for i in slow.tolist():
-        pieces += [text[done:ends[i]], ("%.17g%s" % (x[i], "\n" if row_end[i] else ",")).encode()]
-        done = ends[i]
-    pieces.append(text[done:])
-    return b"".join(pieces)
+    text = np.array(["%.17g%s" % (v, "\n" if end else ",")
+                     for v, end in zip(x[slow].tolist(), row_end[slow].tolist())], dtype="S32")
+    words[slow] = text.view("<u8").reshape(-1, 4)
+    row[slow] = keep.shape[0] - 33 + np.char.str_len(text)
+    return np.compress(keep.take(row, axis=0).ravel(), words.view(np.uint8).ravel()).tobytes()
 
 
 def _csv_blocks(values: np.ndarray, start: int, stop: int):
