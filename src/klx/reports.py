@@ -3,9 +3,8 @@
 Every machine-format float, in a table, an ``extra`` value or an ensemble
 CSV, is printed by one writer, ``_g17_text``, with the bytes of
 ``"%.17g" % x``, so values round-trip exactly through text.  It formats
-numpy blocks by exact integer arithmetic, with ``%`` text for values outside
-[1e-4, 1e6) written into the same template; the bytes do not depend on the
-blocks.
+numpy blocks by exact integer arithmetic, and values outside [1e-4, 1e6) by
+``%`` into the same template; the bytes do not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ class Table:
 # limbs, shifted right.  The digits of N go into a 32-byte template of four
 # little-endian words, "-0.000d." "d.d.d.d." "d.dddddd" "ddddds..", where s is
 # the separator; the bytes to keep depend only on the sign, E and the index of
-# the last nonzero digit, and come from one row of the keep table.  A value
-# outside the window has its "%.17g" text and separator, at most 25 bytes,
-# written into its template instead, under a row keeping the first L bytes.
+# the last nonzero digit, and come from one row of the keep table.  Outside
+# the window the template holds the "%.17g" text and separator, <= 25 bytes.
 _U64 = np.uint64
 _POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
 _TEN16, _TEN17 = _U64(10**16), _U64(10**17)
@@ -111,9 +109,8 @@ def _scaled(m: np.ndarray, e: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return n + (rest + (n & _U64(1)) > _U64(1) << (shift - _U64(1)))
 
 
-def _g17_text(x: np.ndarray, row_end: np.ndarray) -> bytes:
-    """Bytes of ``"%.17g" % v`` for each v in x, each followed by "\\n" where
-    row_end is true and by "," elsewhere."""
+def _g17_slots(x: np.ndarray, row_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's 32-byte template, as four words, and its keep-table row."""
     lead_words, dotted, d5dot, plain, last_digit, keep, _ = _g17_tables()
     a = np.abs(x)
     fast = ((a >= 1e-4) & (a < 1e6)) | (a == 0.0)
@@ -152,7 +149,23 @@ def _g17_text(x: np.ndarray, row_end: np.ndarray) -> bytes:
                      for v, end in zip(x[slow].tolist(), row_end[slow].tolist())], dtype="S32")
     words[slow] = text.view("<u8").reshape(-1, 4)
     row[slow] = keep.shape[0] - 33 + np.char.str_len(text)
-    return np.compress(keep.take(row, axis=0).ravel(), words.view(np.uint8).ravel()).tobytes()
+    return words, row
+
+
+def _g17_text(x: np.ndarray, row_end: np.ndarray) -> bytes:
+    """Bytes of ``"%.17g" % v`` for each v in x, each followed by "\\n" where
+    row_end is true and by "," elsewhere."""
+    words, row = _g17_slots(x, row_end)
+    keep = _g17_tables()[5].take(row, axis=0)
+    return np.compress(keep.ravel(), words.view(np.uint8).ravel()).tobytes()
+
+
+def _width(block: Sequence) -> int:
+    """Length of the longest cell of block, a float's from its keep-table row."""
+    if not (isinstance(block, np.ndarray) and block.dtype == np.float64):
+        return max(map(len, map(str, block)))
+    row = _g17_slots(block, np.ones(block.size, dtype=bool))[1]
+    return int(_g17_tables()[6].take(row).max()) - 1
 
 
 def _csv_blocks(values: np.ndarray, start: int, stop: int):
@@ -214,7 +227,7 @@ def to_json_text(table: Table, extra: dict | None = None) -> str:
 def to_pretty_text(table: Table) -> str:
     """A header, a rule and the rows, each column padded to its widest cell."""
     starts = range(0, len(table.columns[0]), _BLOCK_VALUES)
-    widths = [max([len(name), *(max(map(len, _cells(column, start, False))) for start in starts)])
+    widths = [max([len(name), *(_width(column[i:i + _BLOCK_VALUES]) for i in starts)])
               for name, column in zip(table.names, table.columns)]
     template = "  ".join(f"%-{width}s" for width in widths)
     rule = "  ".join("-" * width for width in widths)
