@@ -231,7 +231,7 @@ def _require_writable_target(path: str) -> None:
         raise OSError(f"no directory {parent!r}")
 
 
-def _write_atomically(path: str, chunks: Iterable[bytes]) -> None:
+def _write_atomically(path: str, chunks: Iterable[bytes | memoryview]) -> None:
     """Write chunks to a temp file beside path, then rename it into place.
 
     On any exception the temp file is removed and a file already at path is
@@ -335,11 +335,11 @@ def write_ensemble_csv(ensemble: PathEnsemble, path: str) -> None:
 def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:
     """Binary export: magic "KLX1", two little-endian uint64 dims (paths,
     grid points), then the row-major little-endian float64 matrix."""
-    values = ensemble.values
+    values = np.ascontiguousarray(ensemble.values, dtype="<f8")
     _write_atomically(path, [
         KLX1_MAGIC,
-        struct.pack("<QQ", values.shape[0], values.shape[1]),
-        np.ascontiguousarray(values, dtype="<f8").tobytes(),
+        struct.pack("<QQ", *values.shape),
+        values.reshape(-1).view(np.uint8).data,
     ])
 
 
@@ -348,7 +348,8 @@ def read_klx1(path: str) -> np.ndarray:
 
     A regular file whose size does not match its header raises ValueError
     before any array is sized from the header; otherwise the payload is read
-    straight into one array of the header's shape.
+    straight into one array of the header's shape.  A shape numpy or the
+    memory cannot hold, which a pipe's header may claim, raises ValueError too.
     """
     mismatch = ValueError("KLX1 payload size does not match header dimensions")
     with open(path, "rb") as handle:
@@ -359,12 +360,14 @@ def read_klx1(path: str) -> np.ndarray:
         if len(header) != 16:
             raise ValueError("truncated KLX1 header: expected 16 bytes of dimensions")
         n_paths, n_grid = struct.unpack("<QQ", header)
-        if 8 * max(n_paths, n_grid) >= 2**63:
-            raise ValueError(f"KLX1 dimensions {n_paths} x {n_grid} are too large for an array")
         info = os.fstat(handle.fileno())
         if stat.S_ISREG(info.st_mode) and info.st_size != 20 + 8 * n_paths * n_grid:
             raise mismatch
-        values = np.empty((n_paths, n_grid), dtype="<f8")
+        try:
+            values = np.empty((n_paths, n_grid), dtype="<f8")
+        except (MemoryError, ValueError):
+            raise ValueError(f"KLX1 dimensions {n_paths} x {n_grid} are too large "
+                             "for an array") from None
         if handle.readinto(values.reshape(-1).view(np.uint8)) != values.nbytes or handle.read(1):
             raise mismatch
     return values

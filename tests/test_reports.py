@@ -133,6 +133,21 @@ def test_rows_across_block_edges_match_per_value_format(fmt):
         assert text.splitlines()[2:] == [f"{j:<5}  {c:<{width}}" for j, c in enumerate(cells)]
 
 
+def test_pretty_formats_each_float_once(monkeypatch):
+    formatted = []
+    writer = reports._g17_text
+
+    def counting_writer(x, row_end):
+        formatted.append(x.size)
+        return writer(x, row_end)
+
+    monkeypatch.setattr(reports, "_g17_text", counting_writer)
+    n = reports._BLOCK_VALUES + 5
+    x, y = np.linspace(-1.0, 1.0, n), np.geomspace(1e-9, 1e9, n)
+    to_pretty_text(Table(("j", "x", "y"), (range(n), x, y)))
+    assert sum(formatted) == 2 * n
+
+
 def g17_reference(values, row_end):
     """Test-only reference: ``"%.17g" % v`` per value, then "\\n" or ","."""
     return "".join("%.17g%s" % (v, "\n" if end else ",")
@@ -211,6 +226,30 @@ class TestG17Formatter:
         values = [with_digits(exp, digits) for digits in range(1, 18)]
         assert [math.floor(math.log10(x)) for x in values] == [exp] * 17
         assert_g17(values + [-x for x in values])
+
+    # One of each class the fixed window leaves to "%": subnormals, the
+    # smallest normal, the largest double, inf, nan, and 1e6, which
+    # 999999.99999999999 also rounds to.
+    FALLBACKS = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                 -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                 np.inf, -np.inf, np.nan, 999999.99999999999, -1e6]
+
+    @pytest.mark.parametrize("row_end", [False, True])
+    @pytest.mark.parametrize("value", FALLBACKS, ids=repr)
+    def test_fallback_in_the_first_and_last_slot_of_a_block(self, value, row_end):
+        block = np.random.default_rng(1).uniform(-1e6, 1e6, reports._BLOCK_VALUES)
+        block[[0, -1]] = value
+        ends = np.arange(block.size) % 3 == 0
+        ends[[0, -1]] = row_end
+        assert reports._g17_text(block, ends) == g17_reference(block, ends)
+
+    def test_fallbacks_side_by_side_and_a_block_of_only_fallbacks(self):
+        assert_g17([0.5, 1e-7, -1e300, 0.25, 5e-324, np.nan, 123.5])
+        assert_g17(self.FALLBACKS * 3)
+        for row_end in (False, True):
+            ends = np.full(len(self.FALLBACKS), row_end)
+            assert (reports._g17_text(np.array(self.FALLBACKS), ends)
+                    == g17_reference(self.FALLBACKS, ends))
 
     def test_fallback_at_both_ends(self):
         assert_g17([1e-5, 0.5, 0.25, 1e7])

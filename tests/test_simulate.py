@@ -338,6 +338,19 @@ class TestSerialization:
         recovered = read_klx1(str(path))
         assert np.array_equal(recovered, ensemble.values)
 
+    def test_klx1_writer_makes_no_copy_of_the_ensemble(self, tmp_path):
+        values = np.random.default_rng(8).standard_normal((2**10, 2**10))
+        path = tmp_path / "paths.klx"
+        tracemalloc.start()
+        try:
+            write_ensemble_klx1(PathEnsemble(config=config(), values=values), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.nbytes == 2**23 and peak < 2**20
+        header = KLX1_MAGIC + struct.pack("<QQ", 2**10, 2**10)
+        assert path.read_bytes() == header + values.tobytes()
+
     @pytest.mark.parametrize(
         ("raw", "message"),
         [
@@ -614,6 +627,21 @@ class TestKlx1Properties:
         path = tmp_path / "huge.klx"
         path.write_bytes(KLX1_MAGIC + struct.pack("<QQ", *dims) + payload)
         assert_refused_in_under_a_mib(path)
+
+    @pytest.mark.parametrize("dims", [(2**30, 2**10), (2**31, 2**31)],
+                             ids=["8-TiB", "past-numpy-size"])
+    def test_huge_dimensions_on_a_pipe_are_refused(self, dims):
+        # A pipe has no size to compare with the header, so numpy's refusal of
+        # the shape or the memory becomes the KLX1 error.  tracemalloc counts
+        # a refused numpy allocation at its requested size, so no peak is read.
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as handle:
+            handle.write(KLX1_MAGIC + struct.pack("<QQ", *dims) + b"\x00" * 8)
+        try:
+            with pytest.raises(ValueError, match="KLX1 dimensions .* too large for an array"):
+                read_klx1(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_huge_payload_is_refused_without_reading_it(self, tmp_path):
         # A 1 x 1 header over a sparse 256 MiB payload: the file size alone refuses it.
