@@ -34,8 +34,8 @@ from .simulate import (
 _FORMATS = ("pretty", "csv", "json")
 
 #: Most rows ``klx eigen`` tabulates.  The text is built whole: 10^6 detrended
-#: rows take 4-5 s and 280 MB as csv, 4-6 s and 420 MB as json, 7-11 s and
-#: 330 MB as pretty, so the 10^7 level cap of the sums would allow some 4 GB.
+#: rows take 4-5 s and 270 MB as csv, 4-5 s and 420 MB as json, 6-7 s and
+#: 320 MB as pretty, so the 10^7 level cap of the sums would allow some 4 GB.
 _MAX_EIGEN_ROWS = 10**6
 
 
