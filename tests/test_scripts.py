@@ -1,7 +1,8 @@
 """Smoke tests of the study scripts and the benchmark tracer, each run as its
 own process, and of README's library example; static checks that package
-modules, scripts and tests use what they import and that the package exports
-exactly what it imports."""
+modules, scripts and tests use what they import, that package modules read
+every private name they bind, and that the package exports exactly what it
+imports."""
 
 import ast
 import csv
@@ -41,6 +42,30 @@ def files_with_unused_imports(paths):
     found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text())
              for path in paths}
     return {name: hits for name, hits in found.items() if hits}
+
+
+def dead_private_names(sources):
+    """Private module-level names (functions, classes, assigned constants)
+    that no source among sources reads, as (file, line, name); sources maps
+    each file name to its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [(node.lineno, node.name)]
+            else:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                bound = [(node.lineno, t.id) for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            found += [(name, line, b) for line, b in bound
+                      if b.startswith("_") and not b.startswith("__") and b not in read]
+    return sorted(found)
 
 
 def export_mismatches(source):
@@ -121,6 +146,18 @@ def test_unused_import_guard_flags_a_dead_name():
     source = ("from __future__ import annotations\n"
               "import math, os.path\nfrom x import a, b as c\nc(math.pi)\n")
     assert unused_imports(source) == [(2, "os"), (3, "a")]
+
+
+def test_package_modules_read_every_private_name_they_bind():
+    modules = sorted((ROOT / "src" / "klx").glob("*.py"))
+    assert dead_private_names({p.name: p.read_text() for p in modules}) == []
+
+
+def test_dead_name_guard_flags_an_unread_private_name():
+    sources = {"a.py": "_A, _B = 1, 2\n_C: int = 3\ndef _f():\n    return _A\n"
+                       "class _K:\n    pass\n__all__ = []\n",
+               "b.py": "from . import a\n_D = a._f() + a._C\n"}
+    assert dead_private_names(sources) == [("a.py", 1, "_B"), ("a.py", 5, "_K"), ("b.py", 2, "_D")]
 
 
 def test_package_exports_match_imports():
