@@ -38,17 +38,22 @@ class Table:
 
 
 # The %.17g writer.  A value x with |x| in [1e-4, 1e6), or +-0, prints in
-# fixed notation.  With E its decimal exponent, in -4..5, the 17 significant
-# digits are those of N = round-half-even(|x| * 10**(16 - E)), computed
-# exactly from the significand m < 2**53 as m * 5**(16 - E) in two 64-bit
-# limbs, shifted right.  The digits of N go into a 32-byte template of four
-# little-endian words, "-0.000d." "d.d.d.d." "d.dddddd" "ddddds..", where s is
-# the separator; the bytes to keep depend only on the sign, E and the index of
-# the last nonzero digit, and come from one row of the keep table.  Outside
-# the window the template holds the "%.17g" text and separator, <= 25 bytes.
+# fixed notation.  Its decimal exponent E, in -4..5, comes from one lookup,
+# where |x| falls among the powers of ten 1e-4 ... 1e6; the 17 significant
+# digits are those of N = round-half-even(|x| * 10**(16 - E)), in
+# [10**16, 10**17), computed exactly from the significand m < 2**53 as
+# m * 5**(16 - E) in two 64-bit limbs, shifted right.  The digits of N go
+# into a 32-byte template of four little-endian words, "-0.000d." "d.d.d.d."
+# "d.dddddd" "ddddds..", where s is the separator; the bytes to keep depend
+# only on the sign, E and the index of the last nonzero digit, and come from
+# one row of the keep table.  Outside the window the template holds the
+# "%.17g" text and separator, <= 25 bytes.
 _U64 = np.uint64
-_POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
-_TEN16, _TEN17 = _U64(10**16), _U64(10**17)
+_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
+_TEN16 = _U64(10**16)
+# Each 1ek here is >= 10**k, and the double just below it prints with
+# exponent k - 1, so every |x| in [1ek, 1e(k+1)) prints with exponent k.
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-4, 7)])
 #: The separator, "," or "\n", as byte 5 of the fourth template word.
 _SEP = np.array([ord(","), ord("\n")], dtype=np.uint64) << _U64(40)
 
@@ -94,7 +99,7 @@ def _g17_tables() -> tuple[np.ndarray, ...]:
 
 def _scaled(m: np.ndarray, e: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """round-half-even(m * 2**e * 10**(16 - exp)) for m < 2**53 and 16 - exp
-    in 10..21, with the product shifted right by 1..63 bits."""
+    in 11..20, with the product shifted right by 1..63 bits."""
     k = 16 - exp
     p = _POW5[k]
     mh, ml = m >> _U64(32), m & _U64(2**32 - 1)
@@ -113,23 +118,14 @@ def _g17_slots(x: np.ndarray, row_end: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Each value's 32-byte template, as four words, and its keep-table row."""
     lead_words, dotted, d5dot, plain, last_digit, keep, _ = _g17_tables()
     a = np.abs(x)
-    fast = ((a >= 1e-4) & (a < 1e6)) | (a == 0.0)
+    exp = np.searchsorted(_POWERS_OF_TEN, a, side="right") - 5
+    fast = ((exp >= -4) & (exp <= 5)) | (a == 0.0)
     a[~fast] = 0.0
+    exp[a == 0.0] = 0
     frac, e = np.frexp(a)
     m = (frac * 2.0**53).astype(np.uint64)
     e = e.astype(np.int64) - 53
-    zero = a == 0.0
-    # Biased low, so E is exact or one too small; the latter gives N > 10**17.
-    exp = np.floor(np.log10(np.where(zero, 1.0, a)) - 1e-9).astype(np.int64)
-    exp[zero] = 0
     n = _scaled(m, e, exp)
-    low = np.flatnonzero(n > _TEN17)
-    exp[low] += 1
-    n[low] = _scaled(m[low], e[low], exp[low])
-    carry = n == _TEN17
-    n[carry] = _TEN16
-    exp += carry
-    fast &= exp <= 5
     lead = n // _TEN16
     rest = n - lead * _TEN16
     high = rest // _U64(10**8)
