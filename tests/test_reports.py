@@ -4,6 +4,7 @@ and the %.17g block writer behind every machine-format float."""
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,3 +257,28 @@ class TestG17Formatter:
         assert_g17([1e-5])
         assert_g17([np.nan, 1e300, -5e-324])
         assert reports._g17_text(np.empty(0), np.empty(0, dtype=bool)) == b""
+
+
+# The window's edges and the exponent boundaries inside it, 1e-4 ... 1e6.
+POWERS = [10.0**k for k in range(-4, 7)]
+
+
+class TestExponentBoundaries:
+    """The writer takes E from where |x| falls among POWERS; both tests pin
+    why that is exact."""
+
+    @pytest.mark.parametrize("row_end", [False, True])
+    def test_every_double_near_each_power(self, row_end):
+        ulps = np.arange(-2**12, 2**12 + 1)
+        values = np.concatenate([(np.float64(p).view(np.int64) + ulps).view(np.float64)
+                                 for p in POWERS])
+        values = np.concatenate([values, -values])
+        ends = np.full(values.size, row_end)
+        assert reports._g17_text(values, ends) == g17_reference(values, ends)
+
+    @pytest.mark.parametrize("k", range(-4, 7))
+    def test_each_power_starts_its_decade(self, k):
+        power = POWERS[k + 4]
+        assert power == float(f"1e{k}") == reports._POWERS_OF_TEN[k + 4]
+        assert Fraction(power) >= Fraction(10) ** k
+        assert Decimal("%.17g" % math.nextafter(power, 0.0)).adjusted() == k - 1
