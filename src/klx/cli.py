@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--grid-points must be >= 2 to include both endpoints")
     _require_sizes(args.J, args.M, args.grid_points)
     _require_test_settings(args.pairs, args.z_threshold)
-    if args.out:
+    if args.out is not None:
         _to_out(args.out, _require_writable_target, args.out)
     config = SimulationConfig(
         kind=kind,
@@ -125,7 +125,7 @@ def _cmd_simulate(args) -> int:
     )
     ensemble = sample_paths(config)
     report = covariance_test(ensemble, pair_count=args.pairs, z_threshold=args.z_threshold)
-    if args.out:
+    if args.out is not None:
         write = write_ensemble_csv if args.out.endswith(".csv") else write_ensemble_klx1
         _to_out(args.out, write, ensemble, args.out)
     names = ("s", "t", "empirical", "truncated_target", "stderr", "z_score")

@@ -18,12 +18,14 @@ truncation bias.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
-import secrets
+import signal
 import stat
 import struct
+import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -43,11 +45,10 @@ _MAX_SEED = 2**64
 _MAX_ENTRIES = 2**26
 #: Most pairs one covariance test draws: about 6.5 s at 0.65 ms a pair on 20 000 paths.
 _MAX_PAIRS = 10**4
-#: Fewest values worth a forked CSV writer process.  Median ``_write_csv`` time
-#: with 1 part against 2, 101 columns, 2 CPUs: 2**12 values 1.7 against 4.8 ms,
-#: 2**15 10.7-11.7 against 11.7-14.6 ms, 2**15.75 15.1-15.3 against 17.1-17.2 ms,
-#: 2**16 18.1-21.2 against 16.9-18.5 ms, 2**18 65.8 against 45.9 ms; so two
-#: parts pay from 2**16 values, 2**15 each.
+#: Fewest values worth a forked CSV writer process.  Median ``_write_csv`` ms, 1
+#: part against 2, 101 columns, 2 CPUs, ranges of 2-4 runs of 15: 2**12 values 1.9-2.0
+#: against 5.5-6.0, 2**15 8.6-10.9 / 13.3-18.0, 2**16 14.1-23.0 / 16.8-23.4, 2**17
+#: 28.6-34.8 / 28.1-33.9, 2**18 60.6-70.1 / 43.9-56.0: two parts start at 2**16 values.
 _CSV_MIN_PART_VALUES = 2**15
 #: Bytes per read when a part file is appended to the export.
 _CSV_COPY_BYTES = 2**20
@@ -222,8 +223,10 @@ def covariance_test(
 
 
 def _require_writable_target(path: str) -> None:
-    """Refuse, with an OSError that says why, an output path that is a directory
-    or another file that is not regular (a FIFO, a device), or has no directory."""
+    """Refuse, with an OSError that says why, an output path that is empty, is a
+    directory or another non-regular file (a FIFO, a device), or has no directory."""
+    if not path:
+        raise OSError("it names no file")
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError("it is a directory" if os.path.isdir(path) else "it is not a regular file")
     parent = os.path.dirname(path) or "."
@@ -235,16 +238,16 @@ def _write_atomically(path: str, chunks: Iterable[bytes | memoryview]) -> None:
     """Write chunks to a temp file beside path, then rename it into place.
 
     On any exception the temp file is removed and a file already at path is
-    left as it was, so a failed export never leaves a partial file.  Refuses
-    a target _require_writable_target refuses before the temp file is opened.
+    left as it was, so a failed export never leaves a partial file.  A killed one
+    leaves the temp file, named because ``os.link`` cannot place an anonymous file
+    (EXDEV).  Refuses a target _require_writable_target refuses before opening it.
     """
     _require_writable_target(path)
-    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     handle = open(tmp, "xb")
     try:
         with handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -258,68 +261,64 @@ def _csv_part_count(n_rows: int, n_cols: int) -> int:
     return max(1, min(cpus, n_rows, n_rows * n_cols // _CSV_MIN_PART_VALUES))
 
 
-def _reaped_parts(children: dict[int, tuple[str, int, int]]):
-    """Reap each writer child in row order and yield the bytes of its part
-    file; a reaped child leaves ``children``.  Raises OSError for a child
-    that failed."""
+def _reaped_parts(children: dict[int, tuple]):
+    """Reap each writer child in row order and yield the bytes of its part; a
+    reaped child leaves ``children``.  Raises OSError for a child that failed."""
     for pid, (part, start, stop) in list(children.items()):
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         del children[pid]
         if status != 0:
             how = f"was killed by signal {-status}" if status < 0 else f"exited with {status}"
             raise OSError(f"the CSV writer process for rows {start}-{stop} {how}")
-        with open(part, "rb") as handle:
-            yield from iter(lambda: handle.read(_CSV_COPY_BYTES), b"")
+        part.seek(0)
+        yield from iter(lambda: part.read(_CSV_COPY_BYTES), b"")
+
+
+def _format_part(part, values: np.ndarray, start: int, stop: int, parent: int):
+    """Forked CSV writer child: format rows start..stop into part, then ``os._exit``: 0
+    once flushed, 1 on any exception (after an ``error:`` line on fd 2) or when orphaned."""
+    try:
+        for chunk in _csv_blocks(values, start, stop):
+            if os.getppid() != parent:
+                os._exit(1)
+            part.write(chunk)
+        part.flush()
+        os._exit(0)
+    except BaseException as exc:
+        os.write(2, f"error: CSV writer process: {exc!r}\n".encode())
+    finally:
+        os._exit(1)
 
 
 def _write_csv(ensemble: PathEnsemble, path: str, parts: int) -> None:
-    """CSV export split into ``parts`` contiguous row ranges.
-
-    Each range after the first is formatted by a forked child into a part
-    file that the parent opened beside path.  The parent writes the header
-    and the first range into the temp file of _write_atomically, then reaps
-    the children in row order and appends their parts.  A child ends in
-    ``os._exit`` whatever happens, so it never unwinds into the caller,
-    flushes the parent's buffers or runs ``atexit``.  It runs only
+    """CSV export in ``parts`` contiguous row ranges.  Each range after the
+    first is formatted by a forked child, _format_part, into an anonymous
+    temporary file the parent opened in path's directory.  The parent writes
+    the header and the first range into the temp file of _write_atomically,
+    then reaps the children in row order and appends their parts; on any
+    exception it kills and reaps every live child.  A child runs only
     element-wise numpy, ``%`` and writes, no BLAS, so forking after BLAS has
-    started its threads is safe.  On any exception in the parent every live
-    child is killed and reaped; the part files are always removed.  A target
-    _require_writable_target refuses is refused before any child is forked.
-    """
+    started its threads is safe.  A target _require_writable_target refuses
+    is refused before any child is forked."""
     _require_writable_target(path)
     values = ensemble.values
     bounds = [values.shape[0] * k // parts for k in range(parts + 1)]
     parent = os.getpid()
-    children: dict[int, tuple[str, int, int]] = {}
-    part_paths = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            part = f"{path}.{secrets.token_hex(6)}.part"
-            with open(part, "xb") as handle:
-                part_paths.append(part)
-                pid = os.fork()
-                if pid == 0:
-                    for chunk in _csv_blocks(values, start, stop):
-                        handle.write(chunk)
-                    handle.flush()
-                    os._exit(0)
-            children[pid] = (part, start, stop)
-        _write_atomically(path, itertools.chain(
-            _csv_blocks(ensemble.config.grid[None, :], 0, 1), _csv_blocks(values, 0, bounds[1]),
-            _reaped_parts(children)))
-    except BaseException as exc:
-        if os.getpid() != parent:
-            os.write(2, f"error: CSV writer process: {exc!r}\n".encode())
-            os._exit(1)
-        raise
-    finally:
-        import signal
-
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in part_paths:
-            os.unlink(part)
+    children: dict[int, tuple] = {}
+    with contextlib.ExitStack() as stack:
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                part = stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(path) or "."))
+                if (pid := os.fork()) == 0:
+                    _format_part(part, values, start, stop, parent)
+                children[pid] = (part, start, stop)
+            _write_atomically(path, itertools.chain(
+                _csv_blocks(ensemble.config.grid[None, :], 0, 1),
+                _csv_blocks(values, 0, bounds[1]), _reaped_parts(children)))
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def write_ensemble_csv(ensemble: PathEnsemble, path: str) -> None:

@@ -390,6 +390,20 @@ class TestSimulate:
         assert stat.S_ISFIFO(os.stat(tmp_path / name).st_mode)
         assert os.listdir(tmp_path) == [name]
 
+    def test_empty_out_exits_2_before_sampling(self, capsys, tmp_path, monkeypatch):
+        def refuse(config):
+            raise AssertionError("sample_paths called for an empty --out")
+
+        monkeypatch.setattr(klx.cli, "sample_paths", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "simulate", "--kind", "bridge", "--J", "4",
+                                "--M", "3", "--grid-points", "3", "--out", "",
+                                "--format", "json")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: cannot write output file '': it names no file")
+        assert os.listdir(tmp_path) == []
+
     def test_csv_bytes_do_not_depend_on_the_cpus_available(self, tmp_path):
         # 2000 x 101 values: enough for a forked writer per CPU when more than one is free.
         def one_cpu():
@@ -484,3 +498,8 @@ def test_import_does_not_load_scipy():
 def test_import_does_not_load_process_pools():
     # The CSV writer forks with os.fork; it needs no pool machinery.
     assert loaded_by_import("multiprocessing", "concurrent") == "[]"
+
+
+def test_import_does_not_load_secrets():
+    # Temp file names come from os.urandom; secrets would bring hmac and hashlib.
+    assert loaded_by_import("secrets", "hmac", "hashlib") == "[]"

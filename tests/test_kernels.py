@@ -126,6 +126,19 @@ class TestGram:
         eigs = np.linalg.eigvalsh(entries)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-300)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(points=st.integers(min_value=2, max_value=300).flatmap(
+               lambda n: st.lists(unit_floats, min_size=n, max_size=n, unique=True)),
+           endpoints=st.sampled_from([(), (0.0,), (1.0,), (0.0, 1.0)]))
+    @settings(max_examples=25, deadline=None)
+    def test_min_eigenvalue_within_rounding_of_zero(self, kind, points, endpoints):
+        # A covariance is positive semidefinite, so rounding alone may push its
+        # least eigenvalue below 0, by at most a few n * eps * max|K|.
+        grid = sorted(set(points) | set(endpoints))
+        entries = gram(kind, grid).entries
+        bound = 4 * len(grid) * np.finfo(float).eps * np.abs(entries).max()
+        assert np.linalg.eigvalsh(entries).min() >= -bound
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             gram(KernelKind.WIENER, [])

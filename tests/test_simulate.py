@@ -4,13 +4,19 @@ Heavy statistical runs live in the acceptance suite; here the ensembles are
 kept small enough to run in seconds while still exercising every contract.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
+import pathlib
+import re
 import signal
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -443,6 +449,42 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+#: Exports 200 x 4 paths to argv[1] in 2 parts; the child's range sleeps 0.05 s
+#: before each of its 100 one-row blocks, so it takes 5 s.
+SLOW_CHILD_EXPORT = """
+import sys, time
+import numpy as np
+from klx import KernelKind, simulate
+
+blocks = simulate._csv_blocks
+
+def slow_child_blocks(values, start, stop):
+    for row in range(start, stop):
+        if start > 0:
+            time.sleep(0.05)
+        yield from blocks(values, row, row + 1)
+
+simulate._csv_blocks = slow_child_blocks
+config = simulate.SimulationConfig(kind=KernelKind.BRIDGE, truncation=8, n_paths=200,
+                                   grid=np.linspace(0.0, 1.0, 4))
+simulate._write_csv(simulate.sample_paths(config), sys.argv[1], 2)
+"""
+
+
+def session_states(sid):
+    """State letter of every process in session sid, from /proc."""
+    states = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                fields = handle.read().rpartition(")")[2].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # exited and reaped since the listing
+        if int(fields[3]) == sid:
+            states.append(fields[0])
+    return states
+
+
 class TestCsvPartition:
     """The CSV writer split into row ranges, each after the first formatted by
     a forked child; the bytes must not depend on the split."""
@@ -516,6 +558,32 @@ class TestCsvPartition:
             simulate._write_csv(ensemble, str(path), 3)
         assert os.listdir(tmp_path) == []
         assert_no_child_left()
+
+    def test_killed_export_leaves_only_its_temp_file(self, tmp_path):
+        # SIGKILL reaches the parent alone; its child must notice and exit,
+        # and its anonymous part vanish with it.
+        path = tmp_path / "paths.csv"
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        driver = subprocess.Popen([sys.executable, "-c", SLOW_CHILD_EXPORT, str(path)],
+                                  env=env, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not any(name.endswith(".tmp") for name in os.listdir(tmp_path)):
+                assert driver.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            driver.kill()
+            driver.wait()
+            deadline = time.monotonic() + 2
+            while set(session_states(driver.pid)) - {"Z"}:
+                assert time.monotonic() < deadline, "a CSV writer child outlived its parent"
+                time.sleep(0.01)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(driver.pid, signal.SIGKILL)
+            driver.wait()
+        [left] = os.listdir(tmp_path)
+        assert re.fullmatch(r"paths\.csv\.[0-9a-f]{12}\.tmp", left)
 
     def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
         def refuse():
@@ -665,7 +733,8 @@ def assert_refused_in_under_a_mib(path):
 
 
 class TestNonRegularTarget:
-    """An existing target that is not a regular file is refused, never replaced."""
+    """An existing target that is not a regular file, or an empty path, is
+    refused, never replaced."""
 
     @pytest.mark.parametrize(
         "write", [write_ensemble_csv, write_ensemble_klx1,
@@ -685,6 +754,22 @@ class TestNonRegularTarget:
         assert stat.S_ISFIFO(os.stat(target).st_mode)
         assert os.listdir(tmp_path) == ["fifo"]
         assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "write", [write_ensemble_csv, write_ensemble_klx1,
+                  lambda ensemble, path: simulate._write_csv(ensemble, path, 3)],
+        ids=["csv", "klx1", "csv-3-parts"])
+    def test_writers_refuse_an_empty_path(self, tmp_path, monkeypatch, write):
+        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
+
+        def refuse():
+            raise AssertionError("CSV writer forked for an empty path")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError, match="names no file"):
+            write(ensemble, "")
+        assert os.listdir(tmp_path) == []
 
     def test_atomic_write_refuses_before_its_temp_file(self, tmp_path, monkeypatch):
         target = tmp_path / "fifo.bin"
