@@ -19,7 +19,7 @@ from .eigen import eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind
 from .mercer import PROOF_IDS, ZETA2, proof_report
 from .nystrom import EIGENVALUE_RTOL, compare_eigenpairs
-from .reports import Table, _g17, render
+from .reports import Table, render
 from .simulate import (
     SimulationConfig,
     _require_sizes,
@@ -64,7 +64,7 @@ def _cmd_verify(args) -> int:
     sys.stdout.write(render(table, args.format, extra={"target": ZETA2, "passed": ok}))
     if args.format == "pretty":
         status = "all rows within tail bounds" if ok else "tail bound violated"
-        sys.stdout.write(f"target pi^2/6 = {_g17(ZETA2)}; {status}\n")
+        sys.stdout.write(f"target pi^2/6 = {ZETA2:.17g}; {status}\n")
     return 0 if ok else 1
 
 

@@ -189,11 +189,6 @@ def _cells(column: Sequence, start: int, as_json: bool) -> list[str]:
     return list(map(str, block))
 
 
-def _g17(x: float) -> str:
-    """``"%.17g" % x``, through the block writer."""
-    return _cells(np.array([x], dtype=np.float64), 0, False)[0]
-
-
 def _blocks(table: Table, template: str, sep: str, as_json: bool) -> Iterator[str]:
     """Each block of rows, every row through the % template, joined by sep."""
     for start in range(0, len(table.columns[0]), _BLOCK_VALUES):

@@ -19,14 +19,13 @@ truncation bias.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
+import shutil
 import signal
 import stat
 import struct
 import tempfile
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +42,16 @@ _BLOCK_PATHS = 2048
 _MAX_SEED = 2**64
 #: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.
 _MAX_ENTRIES = 2**26
-#: Most pairs one covariance test draws: about 6.5 s at 0.65 ms a pair on 20 000 paths.
+#: Most pairs one covariance test draws.  A pair costs one truncated_covariance, linear
+#: in J, plus its products over the paths: 10**4 pairs took 4.7 s at J = 2000 on 20 000
+#: paths, but that call alone took 0.14 s at J = 10**6 and 0.90 s at 6 * 10**6 (Wiener,
+#: median of 3-5), so 2.5 h for 10**4 pairs at the J * G cap with 11 points.
 _MAX_PAIRS = 10**4
 #: Fewest values worth a forked CSV writer process.  Median ``_write_csv`` ms, 1
 #: part against 2, 101 columns, 2 CPUs, ranges of 2-4 runs of 15: 2**12 values 1.9-2.0
 #: against 5.5-6.0, 2**15 8.6-10.9 / 13.3-18.0, 2**16 14.1-23.0 / 16.8-23.4, 2**17
 #: 28.6-34.8 / 28.1-33.9, 2**18 60.6-70.1 / 43.9-56.0: two parts start at 2**16 values.
 _CSV_MIN_PART_VALUES = 2**15
-#: Bytes per read when a part file is appended to the export.
-_CSV_COPY_BYTES = 2**20
 
 
 def _require_sizes(truncation: int, n_paths: int, grid_points: int) -> None:
@@ -99,6 +99,11 @@ class PathEnsemble:
 
     config: SimulationConfig
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.values) != 2 or np.shape(self.values)[1] != self.config.grid.size:
+            raise ValueError(f"values must be 2-D with one column per grid point "
+                             f"({self.config.grid.size}), got shape {np.shape(self.values)}")
 
 
 @dataclass(frozen=True)
@@ -234,8 +239,10 @@ def _require_writable_target(path: str) -> None:
         raise OSError(f"no directory {parent!r}")
 
 
-def _write_atomically(path: str, chunks: Iterable[bytes | memoryview]) -> None:
-    """Write chunks to a temp file beside path, then rename it into place.
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Yield a binary handle on a new temp file beside path; when the block
+    ends, rename the file into place.
 
     On any exception the temp file is removed and a file already at path is
     left as it was, so a failed export never leaves a partial file.  A killed one
@@ -247,7 +254,7 @@ def _write_atomically(path: str, chunks: Iterable[bytes | memoryview]) -> None:
     handle = open(tmp, "xb")
     try:
         with handle:
-            handle.writelines(chunks)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -259,19 +266,6 @@ def _csv_part_count(n_rows: int, n_cols: int) -> int:
     on, at most one per row and one per _CSV_MIN_PART_VALUES values."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return max(1, min(cpus, n_rows, n_rows * n_cols // _CSV_MIN_PART_VALUES))
-
-
-def _reaped_parts(children: dict[int, tuple]):
-    """Reap each writer child in row order and yield the bytes of its part; a
-    reaped child leaves ``children``.  Raises OSError for a child that failed."""
-    for pid, (part, start, stop) in list(children.items()):
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del children[pid]
-        if status != 0:
-            how = f"was killed by signal {-status}" if status < 0 else f"exited with {status}"
-            raise OSError(f"the CSV writer process for rows {start}-{stop} {how}")
-        part.seek(0)
-        yield from iter(lambda: part.read(_CSV_COPY_BYTES), b"")
 
 
 def _format_part(part, values: np.ndarray, start: int, stop: int, parent: int):
@@ -291,30 +285,38 @@ def _format_part(part, values: np.ndarray, start: int, stop: int, parent: int):
 
 
 def _write_csv(ensemble: PathEnsemble, path: str, parts: int) -> None:
-    """CSV export in ``parts`` contiguous row ranges.  Each range after the
-    first is formatted by a forked child, _format_part, into an anonymous
-    temporary file the parent opened in path's directory.  The parent writes
-    the header and the first range into the temp file of _write_atomically,
-    then reaps the children in row order and appends their parts; on any
-    exception it kills and reaps every live child.  A child runs only
-    element-wise numpy, ``%`` and writes, no BLAS, so forking after BLAS has
-    started its threads is safe.  A target _require_writable_target refuses
-    is refused before any child is forked."""
-    _require_writable_target(path)
+    """CSV export in ``parts`` contiguous row ranges, through one temp file of
+    _atomic_file, opened before any fork.  Each range after the first is
+    formatted by a forked child, _format_part, into an anonymous temporary file
+    the parent opened in path's directory.  The parent writes the header and the
+    first range into the temp file, then reaps the children in row order and
+    appends each part in place; on any exception it kills and reaps every live
+    child.  Processes, not threads: ``%`` formatting holds the GIL, and two
+    threads took 29 % longer and 8 MB more on 20 000 x 101 values.  A child
+    runs only element-wise numpy, ``%`` and writes, no BLAS, so forking after
+    BLAS has started its threads is safe."""
     values = ensemble.values
     bounds = [values.shape[0] * k // parts for k in range(parts + 1)]
     parent = os.getpid()
     children: dict[int, tuple] = {}
-    with contextlib.ExitStack() as stack:
+    with _atomic_file(path) as out, contextlib.ExitStack() as stack:
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
                 part = stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(path) or "."))
                 if (pid := os.fork()) == 0:
                     _format_part(part, values, start, stop, parent)
                 children[pid] = (part, start, stop)
-            _write_atomically(path, itertools.chain(
-                _csv_blocks(ensemble.config.grid[None, :], 0, 1),
-                _csv_blocks(values, 0, bounds[1]), _reaped_parts(children)))
+            out.writelines(_csv_blocks(ensemble.config.grid[None, :], 0, 1))
+            out.writelines(_csv_blocks(values, 0, bounds[1]))
+            for pid, (part, start, stop) in list(children.items()):
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if status != 0:
+                    how = (f"was killed by signal {-status}" if status < 0
+                           else f"exited with {status}")
+                    raise OSError(f"the CSV writer process for rows {start}-{stop} {how}")
+                part.seek(0)
+                shutil.copyfileobj(part, out)
         finally:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
@@ -335,11 +337,9 @@ def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:
     """Binary export: magic "KLX1", two little-endian uint64 dims (paths,
     grid points), then the row-major little-endian float64 matrix."""
     values = np.ascontiguousarray(ensemble.values, dtype="<f8")
-    _write_atomically(path, [
-        KLX1_MAGIC,
-        struct.pack("<QQ", *values.shape),
-        values.reshape(-1).view(np.uint8).data,
-    ])
+    with _atomic_file(path) as out:
+        out.writelines([KLX1_MAGIC, struct.pack("<QQ", *values.shape),
+                        values.reshape(-1).view(np.uint8).data])
 
 
 def read_klx1(path: str) -> np.ndarray:

@@ -114,14 +114,22 @@ def test_benchmark_tracer_installs(tmp_path):
     # resolves, so renaming a wrapped function fails here.  The benchmark's
     # --trace 1 pass reads the series.kahan spans, so a sum routed around
     # _kahan fails here too.
+    # The 700 x 101 export is past two _CSV_MIN_PART_VALUES, so with two CPUs
+    # it forks a writer child under the traced wrapper.
     spans = tmp_path / "spans.json"
+    big = tmp_path / "big.csv"
     for argv in (("series", "--which", "zeta", "--N", "10"),
                  ("verify", "--proof", "all", "--J", "10", "--format", "json"),
                  ("simulate", "--kind", "wiener", "--J", "10", "--M", "16", "--grid-points", "3",
-                  "--pairs", "2", "--format", "json", "--out", str(tmp_path / "paths.csv"))):
+                  "--pairs", "2", "--format", "json", "--out", str(tmp_path / "paths.csv")),
+                 ("simulate", "--kind", "bridge", "--J", "10", "--M", "700", "--grid-points",
+                  "101", "--pairs", "2", "--format", "json", "--out", str(big))):
         result = run_script("benchmarks/tracer.py", str(spans), "t", "--", *argv)
         assert result.returncode == 0, result.stderr
-        assert "series.kahan" in {span["name"] for span in json.loads(spans.read_text())}
+        names = {span["name"] for span in json.loads(spans.read_text())}
+        assert "series.kahan" in names
+    assert "simulate.write_ensemble_csv" in names
+    assert csv_row_count(big) == 700
 
 
 def test_readme_library_example_runs():

@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import signal
 import stat
 import struct
@@ -41,13 +42,18 @@ from klx import (
     write_ensemble_klx1,
 )
 from klx import reports, simulate
-from klx.simulate import _MAX_ENTRIES, PathEnsemble, _write_atomically
+from klx.simulate import _MAX_ENTRIES, PathEnsemble, _atomic_file
 
 
 def config(kind=KernelKind.WIENER, truncation=64, n_paths=512, grid=None, seed=42):
     if grid is None:
         grid = np.linspace(0.0, 1.0, 9)
     return SimulationConfig(kind=kind, truncation=truncation, n_paths=n_paths, grid=grid, seed=seed)
+
+
+def ensemble_of(values):
+    """values as they are, as an ensemble on an even grid of one point per column."""
+    return PathEnsemble(config=config(grid=np.linspace(0.0, 1.0, values.shape[1])), values=values)
 
 
 def scaled_basis(kind, j_max, grid):
@@ -75,6 +81,15 @@ class TestConfigValidation:
             config(seed=-1)
         with pytest.raises(ValueError):
             config(seed=2**64)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 5), (4,), (3, 4, 1)])
+    def test_ensemble_needs_one_column_per_grid_point(self, shape):
+        # A 4-point grid over 3-column rows once gave a CSV whose header and
+        # rows disagreed in width, with no error.
+        cfg = config(n_paths=3, grid=np.linspace(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="one column per grid point"):
+            PathEnsemble(config=cfg, values=np.zeros(shape))
+        PathEnsemble(config=cfg, values=np.zeros((3, 4)))
 
     @pytest.mark.parametrize("field", ["truncation", "n_paths"])
     def test_rejects_sizes_past_the_entry_cap(self, field):
@@ -349,7 +364,7 @@ class TestSerialization:
         path = tmp_path / "paths.klx"
         tracemalloc.start()
         try:
-            write_ensemble_klx1(PathEnsemble(config=config(), values=values), str(path))
+            write_ensemble_klx1(ensemble_of(values), str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,12 +395,10 @@ class TestSerialization:
         if existing is not None:
             path.write_bytes(existing)
 
-        def chunks():
-            yield b"partial"
+        with pytest.raises(RuntimeError), _atomic_file(str(path)) as handle:
+            handle.write(b"partial")
+            handle.flush()
             raise RuntimeError("disk on fire")
-
-        with pytest.raises(RuntimeError):
-            _write_atomically(str(path), chunks())
         assert os.listdir(tmp_path) == ([] if existing is None else ["paths.bin"])
         if existing is not None:
             assert path.read_bytes() == existing
@@ -525,21 +538,30 @@ class TestCsvPartition:
 
         monkeypatch.setattr(simulate, "_csv_blocks", failing_blocks)
 
-    @pytest.mark.parametrize("where", ["child", "parent"])
-    def test_failed_range_keeps_existing_file(self, tmp_path, monkeypatch, capfd, where):
+    @pytest.mark.parametrize("where, failing, appended", [
+        ("child", lambda start: start > 0, 0),
+        ("last-child", lambda start: start == 200, 1),
+        ("parent", lambda start: start == 0, 0),
+    ], ids=["child", "last-child", "parent"])
+    def test_failed_range_keeps_existing_file(self, tmp_path, monkeypatch, capfd, where,
+                                              failing, appended):
+        # Rows 0-100 go to the parent, 100-200 and 200-300 to two children.
         ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
-        self.failing_in(monkeypatch, (lambda start: start > 0) if where == "child"
-                        else (lambda start: start == 0))
+        self.failing_in(monkeypatch, failing)
+        copies = []
+        copy = shutil.copyfileobj
+        monkeypatch.setattr(shutil, "copyfileobj", lambda src, dst: copies.append(copy(src, dst)))
         path = tmp_path / "paths.csv"
         path.write_bytes(b"previous export\n")
-        expected = OSError if where == "child" else RuntimeError
-        with pytest.raises(expected):
+        with pytest.raises(RuntimeError if where == "parent" else OSError):
             simulate._write_csv(ensemble, str(path), 3)
+        assert len(copies) == appended
         assert path.read_bytes() == b"previous export\n"
         assert os.listdir(tmp_path) == ["paths.csv"]
         assert_no_child_left()
-        if where == "child":
-            assert "formatting rows 100-200 failed" in capfd.readouterr().err
+        if where != "parent":
+            rows = "100-200" if where == "child" else "200-300"
+            assert f"formatting rows {rows} failed" in capfd.readouterr().err
 
     def test_interrupted_parent_kills_its_children(self, tmp_path, monkeypatch):
         ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
@@ -636,7 +658,7 @@ class TestCsvBlocks:
 
 
 class TestKlx1Properties:
-    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6),
            st.data())
     @settings(max_examples=100, deadline=None)
     def test_round_trip_keeps_every_bit(self, n_paths, n_grid, data):
@@ -645,16 +667,23 @@ class TestKlx1Properties:
         values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n_paths, n_grid)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "paths.klx")
-            write_ensemble_klx1(PathEnsemble(config=config(), values=values), path)
+            write_ensemble_klx1(ensemble_of(values), path)
             recovered = read_klx1(path)
         assert recovered.shape == (n_paths, n_grid)
         assert np.array_equal(recovered.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("n_paths", [0, 3])
+    def test_zero_columns_read_back(self, tmp_path, n_paths):
+        # No ensemble has zero columns, but a file written elsewhere may.
+        path = tmp_path / "paths.klx"
+        path.write_bytes(KLX1_MAGIC + struct.pack("<QQ", n_paths, 0))
+        assert read_klx1(str(path)).shape == (n_paths, 0)
 
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 2)])
     def test_every_proper_prefix_is_refused(self, tmp_path, shape):
         values = np.arange(shape[0] * shape[1], dtype=float).reshape(shape) - 1.5
         path = tmp_path / "paths.klx"
-        write_ensemble_klx1(PathEnsemble(config=config(), values=values), str(path))
+        write_ensemble_klx1(ensemble_of(values), str(path))
         raw = path.read_bytes()
         assert len(raw) == 20 + 8 * values.size
         for size in range(len(raw)):
@@ -780,5 +809,6 @@ class TestNonRegularTarget:
 
         monkeypatch.setattr("builtins.open", refuse)
         with pytest.raises(OSError, match="not a regular file"):
-            _write_atomically(str(target), [b"data"])
+            with _atomic_file(str(target)) as handle:
+                handle.write(b"data")
         assert stat.S_ISFIFO(os.stat(target).st_mode)
