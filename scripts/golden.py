@@ -32,6 +32,10 @@ GOLDEN = ROOT / "tests" / "golden.json"
 FORMATS = ("pretty", "csv", "json")
 KINDS = ("wiener", "bridge", "demeaned", "detrended")
 
+#: Oracle node and eigenpair counts: the dense eigensolver, and the matrix-free one.
+ORACLE_SIDES = (("dense", ("--nodes", "100", "--eigs", "5")),
+                ("matrix-free", ("--nodes", "500", "--eigs", "3")))
+
 #: Name -> klx arguments; "{out}" stands for the temporary directory.
 COMMANDS = {
     **{f"verify {fmt}": ("verify", "--J", "1,7,1000,65536,65537,1000000", "--format", fmt)
@@ -49,9 +53,10 @@ COMMANDS = {
                                       "--format", fmt)
        for fmt in FORMATS},
     **{f"oracle {kind} {side}": ("oracle", "--kind", kind, *args, "--format", "json")
-       for kind in KINDS
-       for side, args in (("dense", ("--nodes", "100", "--eigs", "5")),
-                          ("matrix-free", ("--nodes", "500", "--eigs", "3")))},
+       for kind in KINDS for side, args in ORACLE_SIDES},
+    # The pretty footers: bridge exceeds rtol at 100 nodes and is within it at 500.
+    **{f"oracle bridge {side} pretty": ("oracle", "--kind", "bridge", *args, "--format", "pretty")
+       for side, args in ORACLE_SIDES},
     **{f"simulate degenerate {fmt}": ("simulate", "--kind", "bridge", "--J", "8", "--M", "16",
                                       "--grid-points", "2", "--format", fmt)
        for fmt in FORMATS},
@@ -60,11 +65,16 @@ COMMANDS = {
         "--seed", str(seed), "--out", f"{{out}}/{name}.{suffix}", "--format", "json")
        for name, kind, j, g in (("wide", "bridge", "64", "101"), ("long", "wiener", "2000", "11"))
        for seed in (1, 2) for suffix in ("csv", "klx1")},
+    "simulate long seed 1 pretty": ("simulate", "--kind", "wiener", "--J", "2000", "--M", "20000",
+                                    "--grid-points", "11", "--seed", "1", "--format", "pretty"),
+    # README's convergence study: one CSV per route and one of all three.
+    **{f"verify proof {proof} ladder csv": ("verify", "--proof", proof, "--J", "10,100,1000",
+                                            "--format", "csv")
+       for proof in ("all", "1", "2", "3")},
 }
 
 #: Name -> (study script, its arguments); every file it writes is digested.
 STUDIES = {
-    "basel_convergence": ("scripts/basel_convergence.py", ("--ladder", "10,100,1000")),
     "oracle_refinement": ("scripts/oracle_refinement.py", ("--nodes", "64,128", "--eigs", "3")),
 }
 

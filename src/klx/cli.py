@@ -38,6 +38,10 @@ _FORMATS = ("pretty", "csv", "json")
 #: 320 MB as pretty, so the 10^7 level cap of the sums would allow some 4 GB.
 _MAX_EIGEN_ROWS = 10**6
 
+#: What a subcommand returns to main, the one writer of stdout: its table, its json
+#: keys besides the rows, "passed" among them (None: no verdict), and its pretty footer.
+_Result = tuple[Table, dict | None, str | None]
+
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -51,7 +55,7 @@ def _columns(records, fields: tuple[str, ...]) -> tuple[list, ...]:
     return tuple([getattr(record, field) for record in records] for field in fields)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Result:
     if not args.J:
         raise ValueError("--J must list at least one truncation level")
     proofs = list(PROOF_IDS) if args.proof == "all" else [int(args.proof)]
@@ -61,14 +65,11 @@ def _cmd_verify(args) -> int:
     rows = [row for report in proof_reports for row in report.rows]
     table = Table(("proof_id", "J", "estimate", "abs_error", "tail_bound"),
                   (ids, *_columns(rows, ("j_terms", "estimate", "abs_error", "tail_bound"))))
-    sys.stdout.write(render(table, args.format, extra={"target": ZETA2, "passed": ok}))
-    if args.format == "pretty":
-        status = "all rows within tail bounds" if ok else "tail bound violated"
-        sys.stdout.write(f"target pi^2/6 = {ZETA2:.17g}; {status}\n")
-    return 0 if ok else 1
+    status = "all rows within tail bounds" if ok else "tail bound violated"
+    return table, {"target": ZETA2, "passed": ok}, f"target pi^2/6 = {ZETA2:.17g}; {status}"
 
 
-def _cmd_eigen(args) -> int:
+def _cmd_eigen(args) -> _Result:
     kind = KernelKind.parse(args.kind)
     if args.j_max < 1:
         raise ValueError("--j-max must be >= 1")
@@ -80,24 +81,19 @@ def _cmd_eigen(args) -> int:
     branch = (labels * args.j_max)[:args.j_max]
     table = Table(("j", "lambda", "branch", "f_at_0", "f_at_half", "f_at_1"),
                   (range(1, args.j_max + 1), lam, branch, *f.T))
-    sys.stdout.write(render(table, args.format))
-    return 0
+    return table, None, None
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> _Result:
     kind = KernelKind.parse(args.kind)
     comparison = compare_eigenpairs(kind, args.eigs, args.nodes)
     fields = ("j", "analytic", "nystrom", "rel_error", "max_deviation")
     table = Table(("j", "lambda_analytic", "lambda_nystrom", "rel_error", "max_deviation"),
                   _columns(comparison.rows, fields))
     ok = comparison.passes()
-    sys.stdout.write(render(table, args.format, extra={"rtol": EIGENVALUE_RTOL, "passed": ok}))
-    if args.format == "pretty":
-        verdict = "within" if ok else "exceeds"
-        sys.stdout.write(
-            f"{kind.value} at {args.nodes} nodes: eigenvalue error {verdict} rtol {EIGENVALUE_RTOL:g}\n"
-        )
-    return 0 if ok else 1
+    footer = (f"{kind.value} at {args.nodes} nodes: eigenvalue error "
+              f"{'within' if ok else 'exceeds'} rtol {EIGENVALUE_RTOL:g}")
+    return table, {"rtol": EIGENVALUE_RTOL, "passed": ok}, footer
 
 
 def _to_out(path: str, action, *args) -> None:
@@ -108,7 +104,7 @@ def _to_out(path: str, action, *args) -> None:
         raise ValueError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Result:
     kind = KernelKind.parse(args.kind)
     if args.grid_points < 2:
         raise ValueError("--grid-points must be >= 2 to include both endpoints")
@@ -132,12 +128,9 @@ def _cmd_simulate(args) -> int:
     table = Table(names, _columns(report.checks, names))
     extra = {field: getattr(report, field)
              for field in ("passed", "skipped", "exceedances", "allowed_exceedances")}
-    sys.stdout.write(render(table, args.format, extra))
     if report.skipped:
         sys.stderr.write(f"warning: {report.message}\n")
-    elif args.format == "pretty":
-        sys.stdout.write(report.message + "\n")
-    return 0 if report.passed else 1
+    return table, extra, None if report.skipped else report.message
 
 
 #: --which name -> (value at index n, reference limit).
@@ -151,7 +144,7 @@ _SERIES = {
 }
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> _Result:
     if not args.N:
         raise ValueError("--N must list at least one index")
     value_at, limit = _SERIES[args.which]
@@ -159,8 +152,7 @@ def _cmd_series(args) -> int:
     limits = np.full(len(args.N), limit)
     table = Table(("series", "N", "value", "reference_limit", "distance"),
                   ([args.which] * len(args.N), args.N, values, limits, values - limits))
-    sys.stdout.write(render(table, args.format))
-    return 0
+    return table, None, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +208,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        table, extra, footer = args.func(args)
+        sys.stdout.write(render(table, args.format, extra))
+        if footer and args.format == "pretty":
+            sys.stdout.write(footer + "\n")
+        return 1 if extra is not None and not extra["passed"] else 0
     except (ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

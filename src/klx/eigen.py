@@ -53,19 +53,15 @@ def _sinpi(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _cospi(x: np.ndarray) -> np.ndarray:
-    """cos(pi * x) via the shifted sine, keeping the exact special values."""
-    return _sinpi(x + 0.5)
-
-
-#: Frequency offset a and factor trig(x) = sin(pi x) or cos(pi x) per kind:
-#: lambda_j = ((j + a) pi)^2 and f_j(t) = sqrt(2) trig((j + a) t).  The even
-#: detrended indices are overwritten from the Bessel roots.
+#: Frequency offset a and phase p per kind: lambda_j = ((j + a) pi)^2 and
+#: f_j(t) = sqrt(2) sin(pi ((j + a) t + p)), where p = 1/2 gives the cosine
+#: with the sine's exact special values.  The even detrended indices are
+#: overwritten from the Bessel roots.
 _SPECTRA = {
-    KernelKind.WIENER: (-0.5, _sinpi),
-    KernelKind.DEMEANED: (0.0, _cospi),
-    KernelKind.BRIDGE: (0.0, _sinpi),
-    KernelKind.DETRENDED: (1.0, _cospi),
+    KernelKind.WIENER: (-0.5, 0.0),
+    KernelKind.DEMEANED: (0.0, 0.5),
+    KernelKind.BRIDGE: (0.0, 0.0),
+    KernelKind.DETRENDED: (1.0, 0.5),
 }
 
 
@@ -139,8 +135,11 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1) -> np.n
     entry point and in grid constructors.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    offset, trig = _SPECTRA[kind]
-    out = trig((_indices(j_max, step)[:, None] + offset) * t)
+    offset, phase = _SPECTRA[kind]
+    # Rebinding out frees _sinpi's argument before the detrended rows are built.
+    out = (_indices(j_max, step)[:, None] + offset) * t
+    out += phase
+    out = _sinpi(out)
     out *= SQRT2
     if kind is KernelKind.DETRENDED:
         rows, n, z = _even_detrended(j_max, step)

@@ -41,6 +41,10 @@ KLX1_MAGIC = b"KLX1"
 _BLOCK_PATHS = 2048
 _MAX_SEED = 2**64
 #: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.
+#: A run holds up to three such arrays at once: at the J cap, eigen._sinpi's operand,
+#: rounded copy and result, then the basis and the two copies np.linalg.qr makes, so
+#: ``klx simulate --J 6100000 --M 2 --grid-points 11`` peaks at 1629-1636 MB for every
+#: kind; at the M cap (--J 2 --M 6100000) it peaks at 641 MB.
 _MAX_ENTRIES = 2**26
 #: Most pairs one covariance test draws.  A pair costs one truncated_covariance, linear
 #: in J, plus its products over the paths: 10**4 pairs took 4.7 s at J = 2000 on 20 000

@@ -476,6 +476,51 @@ class TestSeries:
         assert abs(float(row["distance"])) < 0.01
 
 
+_DEGENERATE_PRETTY = ("s  t  empirical  truncated_target  stderr  z_score\n"
+                      "-  -  ---------  ----------------  ------  -------\n")
+
+#: Case -> (argv, patch (module, name, value) or None, exit code, table rows,
+#: pretty footer or None).
+_VERDICTS = {
+    "verify-fails": (("verify", "--J", "10"), (klx.mercer, "_FLOAT_SLACK", -1.0), 1, 3,
+                     "target pi^2/6 = 1.6449340668482264; tail bound violated"),
+    "simulate-fails": (("simulate", "--kind", "wiener", "--J", "10", "--M", "200",
+                        "--grid-points", "5", "--pairs", "5"),
+                       (klx.simulate, "truncated_covariance", lambda *args: 1e3), 1, 5,
+                       "5 of 5 pairs exceeded |z| > 4.0 (allowed 1)"),
+    "simulate-skips": (("simulate", "--kind", "bridge", "--J", "8", "--M", "16",
+                        "--grid-points", "2"), None, 0, 0, None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+@pytest.mark.parametrize("case", sorted(_VERDICTS))
+def test_verdict_sets_exit_code_footer_and_passed(capsys, monkeypatch, case, fmt):
+    argv, patch, exit_code, rows, footer = _VERDICTS[case]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == exit_code
+    lines = out.splitlines()
+    if fmt == "pretty":
+        # header, rule, rows, then the footer, if the command has one
+        assert len(lines) == 2 + rows + (footer is not None)
+        if footer is None:
+            assert out == _DEGENERATE_PRETTY
+        else:
+            assert lines[-1] == footer
+    elif fmt == "csv":
+        assert len(lines) == 1 + rows
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}
+    else:
+        doc = json.loads(out)
+        assert doc["passed"] is (exit_code == 0)
+        assert len(doc["rows"]) == rows
+    skipped = case == "simulate-skips"
+    assert err == ("warning: all grid columns are degenerate; covariance test skipped\n"
+                   if skipped else "")
+
+
 def src_env():
     """Environment for a fresh interpreter that imports klx from this checkout."""
     return dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))

@@ -1,8 +1,8 @@
 """Smoke tests of the study scripts and the benchmark tracer, each run as its
 own process, and of README's library example; static checks that package
 modules, scripts and tests use what they import, that package modules read
-every private name they bind, and that the package exports exactly what it
-imports."""
+every private name they bind, that the package exports exactly what it
+imports, and that only the CLI's ``main`` writes a command's output."""
 
 import ast
 import csv
@@ -87,6 +87,20 @@ def export_mismatches(source):
     return found
 
 
+def finish_path_breaches(source):
+    """Each read of ``render``, ``print`` or ``stdout`` inside a module-level
+    ``_cmd_*`` function of source, as (function, line, name)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            for inner in ast.walk(node):
+                name = (inner.id if isinstance(inner, ast.Name)
+                        else inner.attr if isinstance(inner, ast.Attribute) else None)
+                if name in ("render", "print", "stdout"):
+                    found.append((node.name, inner.lineno, name))
+    return sorted(found)
+
+
 def csv_row_count(path):
     with open(path, newline="") as handle:
         return sum(1 for _ in csv.DictReader(handle))
@@ -98,15 +112,6 @@ def test_oracle_refinement(tmp_path):
     assert result.returncode == 0, result.stderr
     # four kinds x two node counts x three modes
     assert csv_row_count(tmp_path / "oracle_refinement.csv") == 24
-
-
-def test_basel_convergence(tmp_path):
-    result = run_script("scripts/basel_convergence.py", "--ladder", "10,100", "--out-dir",
-                        str(tmp_path))
-    assert result.returncode == 0, result.stderr
-    for route in (1, 2, 3):
-        assert csv_row_count(tmp_path / f"basel_proof{route}.csv") == 2
-    assert csv_row_count(tmp_path / "basel_all.csv") == 6
 
 
 def test_benchmark_tracer_installs(tmp_path):
@@ -166,6 +171,22 @@ def test_dead_name_guard_flags_an_unread_private_name():
                        "class _K:\n    pass\n__all__ = []\n",
                "b.py": "from . import a\n_D = a._f() + a._C\n"}
     assert dead_private_names(sources) == [("a.py", 1, "_B"), ("a.py", 5, "_K"), ("b.py", 2, "_D")]
+
+
+def test_only_main_writes_command_output():
+    # Each _cmd_* returns its table, json keys and footer; main renders them.
+    assert finish_path_breaches((ROOT / "src" / "klx" / "cli.py").read_text()) == []
+
+
+def test_finish_path_guard_flags_a_subcommand_that_writes():
+    source = ("import sys\nfrom . import reports\nfrom .reports import render\n"
+              "def _cmd_a(args):\n    sys.stdout.write(render(t, 'csv'))\n"
+              "def _cmd_b(args):\n    sys.stderr.write('warning')\n    print(1)\n"
+              "def _cmd_c(args):\n    return reports.render\n"
+              "def main():\n    sys.stdout.write(render(t, 'csv'))\n")
+    assert finish_path_breaches(source) == [
+        ("_cmd_a", 5, "render"), ("_cmd_a", 5, "stdout"), ("_cmd_b", 8, "print"),
+        ("_cmd_c", 10, "render")]
 
 
 def test_package_exports_match_imports():
