@@ -18,7 +18,6 @@ from .kernels import GramMatrix, KernelKind, gram, kernel_matrix, kernel_value
 from .mercer import (
     ZETA2,
     ConvergenceReport,
-    ConvergenceRow,
     basel_estimate,
     mercer_partial,
     mercer_terms,
@@ -30,7 +29,6 @@ from .nystrom import (
     EIGENVALUE_RTOL,
     NystromSolution,
     OracleComparison,
-    OracleRow,
     compare_eigenpairs,
     nystrom_solve,
 )
@@ -49,7 +47,6 @@ from .series import (
 )
 from .simulate import (
     KLX1_MAGIC,
-    CovarianceCheck,
     CovarianceTestReport,
     PathEnsemble,
     SimulationConfig,
@@ -65,8 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceReport",
-    "ConvergenceRow",
-    "CovarianceCheck",
     "CovarianceTestReport",
     "EIGENVALUE_RTOL",
     "GramMatrix",
@@ -74,7 +69,6 @@ __all__ = [
     "KernelKind",
     "NystromSolution",
     "OracleComparison",
-    "OracleRow",
     "PathEnsemble",
     "SimulationConfig",
     "ZETA2",

@@ -50,21 +50,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _columns(records, fields: tuple[str, ...]) -> tuple[list, ...]:
-    """One list per field of the records, for a Table."""
-    return tuple([getattr(record, field) for record in records] for field in fields)
-
-
 def _cmd_verify(args) -> _Result:
     if not args.J:
         raise ValueError("--J must list at least one truncation level")
     proofs = list(PROOF_IDS) if args.proof == "all" else [int(args.proof)]
     proof_reports = [proof_report(proof, args.J) for proof in proofs]
     ok = all(report.passes() for report in proof_reports)
-    ids = [report.proof_id for report in proof_reports for _ in report.rows]
-    rows = [row for report in proof_reports for row in report.rows]
+    ids = [r.proof_id for r in proof_reports for _ in args.J]
+    values = np.hstack([(r.estimate, r.abs_error, r.tail_bound) for r in proof_reports])
     table = Table(("proof_id", "J", "estimate", "abs_error", "tail_bound"),
-                  (ids, *_columns(rows, ("j_terms", "estimate", "abs_error", "tail_bound"))))
+                  (ids, args.J * len(proofs), *values))
     status = "all rows within tail bounds" if ok else "tail bound violated"
     return table, {"target": ZETA2, "passed": ok}, f"target pi^2/6 = {ZETA2:.17g}; {status}"
 
@@ -86,11 +81,10 @@ def _cmd_eigen(args) -> _Result:
 
 def _cmd_oracle(args) -> _Result:
     kind = KernelKind.parse(args.kind)
-    comparison = compare_eigenpairs(kind, args.eigs, args.nodes)
-    fields = ("j", "analytic", "nystrom", "rel_error", "max_deviation")
+    c = compare_eigenpairs(kind, args.eigs, args.nodes)
     table = Table(("j", "lambda_analytic", "lambda_nystrom", "rel_error", "max_deviation"),
-                  _columns(comparison.rows, fields))
-    ok = comparison.passes()
+                  (c.j, c.analytic, c.nystrom, c.rel_error, c.max_deviation))
+    ok = c.passes()
     footer = (f"{kind.value} at {args.nodes} nodes: eigenvalue error "
               f"{'within' if ok else 'exceeds'} rtol {EIGENVALUE_RTOL:g}")
     return table, {"rtol": EIGENVALUE_RTOL, "passed": ok}, footer
@@ -125,7 +119,7 @@ def _cmd_simulate(args) -> _Result:
         write = write_ensemble_csv if args.out.endswith(".csv") else write_ensemble_klx1
         _to_out(args.out, write, ensemble, args.out)
     names = ("s", "t", "empirical", "truncated_target", "stderr", "z_score")
-    table = Table(names, _columns(report.checks, names))
+    table = Table(names, tuple(getattr(report, name) for name in names))
     extra = {field: getattr(report, field)
              for field in ("passed", "skipped", "exceedances", "allowed_exceedances")}
     if report.skipped:

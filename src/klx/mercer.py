@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
 from .series import _kahan, _power_terms, _require_count, _table
@@ -85,8 +87,8 @@ def truncated_covariance(kind: KernelKind, s: float, t: float, j_max: int) -> fl
 
 
 def basel_estimate(proof: int, j_terms: int) -> float:
-    """zeta(2) estimate from one route at j_terms terms: one ``proof_report`` row."""
-    return proof_report(proof, [j_terms]).rows[0].estimate
+    """zeta(2) estimate from one route at j_terms terms: a one-level ``proof_report``."""
+    return float(proof_report(proof, [j_terms]).estimate[0])
 
 
 def proof_tail_bound(proof: int, j_terms: int) -> float:
@@ -100,24 +102,19 @@ def proof_tail_bound(proof: int, j_terms: int) -> float:
     return _ROUTES[proof][1] / j_terms + _FLOAT_SLACK
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    j_terms: int
-    estimate: float
-    abs_error: float
-    tail_bound: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """Estimate sequence for one route, with honest error bounds."""
+    """Estimate sequence for one route, with honest error bounds: one entry per level."""
 
     proof_id: str
-    rows: tuple[ConvergenceRow, ...]
+    j_terms: tuple[int, ...]
+    estimate: np.ndarray
+    abs_error: np.ndarray
+    tail_bound: np.ndarray
 
     def passes(self) -> bool:
-        """True when every row's error is within its tail bound."""
-        return all(row.abs_error <= row.tail_bound for row in self.rows)
+        """True when every level's error is within its tail bound."""
+        return bool(np.all(self.abs_error <= self.tail_bound))
 
 
 def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
@@ -133,8 +130,7 @@ def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
     """
     _check_proof(proof)
     scale, _, build = _ROUTES[proof]
-    estimates = [scale * total for total in _table(j_values, build)]
-    rows = tuple(ConvergenceRow(j_terms, estimate, abs(ZETA2 - estimate),
-                                proof_tail_bound(proof, j_terms))
-                 for j_terms, estimate in zip(j_values, estimates))
-    return ConvergenceReport(proof_id=f"Proof{proof}", rows=rows)
+    estimate = scale * np.array(_table(j_values, build))
+    tail_bound = np.array([proof_tail_bound(proof, j) for j in j_values])
+    return ConvergenceReport(f"Proof{proof}", tuple(j_values), estimate,
+                             np.abs(ZETA2 - estimate), tail_bound)

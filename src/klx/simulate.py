@@ -46,10 +46,11 @@ _MAX_SEED = 2**64
 #: ``klx simulate --J 6100000 --M 2 --grid-points 11`` peaks at 1629-1636 MB for every
 #: kind; at the M cap (--J 2 --M 6100000) it peaks at 641 MB.
 _MAX_ENTRIES = 2**26
-#: Most pairs one covariance test draws.  A pair costs one truncated_covariance, linear
-#: in J, plus its products over the paths: 10**4 pairs took 4.7 s at J = 2000 on 20 000
-#: paths, but that call alone took 0.14 s at J = 10**6 and 0.90 s at 6 * 10**6 (Wiener,
-#: median of 3-5), so 2.5 h for 10**4 pairs at the J * G cap with 11 points.
+#: Most pairs one covariance test draws.  A pair costs its products over the paths, and a
+#: distinct pair, at most U**2 for U usable columns, one truncated_covariance, linear in J
+#: (Wiener, medians of 3-5): 10**4 pairs took 1.07 s at J = 2000 on 20 000 paths and 11
+#: points; one target 0.18 s at J = 10**6, 0.78 s at 6 * 10**6 and 0.08 s at 6.6 * 10**5,
+#: so 95 s for 121 targets at the J * G cap with 11 points, 13 min for 10**4 with 101.
 _MAX_PAIRS = 10**4
 #: Fewest values worth a forked CSV writer process.  Median ``_write_csv`` ms, 1
 #: part against 2, 101 columns, 2 CPUs, ranges of 2-4 runs of 15: 2**12 values 1.9-2.0
@@ -110,21 +111,16 @@ class PathEnsemble:
                              f"({self.config.grid.size}), got shape {np.shape(self.values)}")
 
 
-@dataclass(frozen=True)
-class CovarianceCheck:
-    """Empirical vs truncated-target covariance at one grid point pair."""
-
-    s: float
-    t: float
-    empirical: float
-    truncated_target: float
-    stderr: float
-    z_score: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceTestReport:
-    checks: tuple[CovarianceCheck, ...]
+    """Empirical vs truncated-target covariance, one entry per tested pair, and the verdict."""
+
+    s: np.ndarray
+    t: np.ndarray
+    empirical: np.ndarray
+    truncated_target: np.ndarray
+    stderr: np.ndarray
+    z_score: np.ndarray
     exceedances: int
     allowed_exceedances: int
     passed: bool
@@ -154,15 +150,15 @@ def sample_paths(config: SimulationConfig) -> PathEnsemble:
     return PathEnsemble(config=config, values=values)
 
 
-def empirical_covariance(ensemble: PathEnsemble, s_index: int, t_index: int) -> CovarianceCheck:
-    """Covariance check at one grid index pair.
+def empirical_covariance(ensemble: PathEnsemble, s_index: int,
+                         t_index: int) -> tuple[float, float]:
+    """Empirical covariance at one grid index pair, and its standard error.
 
     The process is zero-mean, so the empirical covariance is the plain mean
     of the products; stderr is their sample standard deviation over sqrt(M).
     Raises on a degenerate (zero-spread) product column.
     """
-    config = ensemble.config
-    grid = config.grid
+    grid = ensemble.config.grid
     for name, idx in (("s_index", s_index), ("t_index", t_index)):
         if not 0 <= idx < grid.size:
             raise ValueError(f"{name} out of range: {idx}")
@@ -173,16 +169,7 @@ def empirical_covariance(ensemble: PathEnsemble, s_index: int, t_index: int) -> 
             f"degenerate product column at grid pair ({grid[s_index]}, {grid[t_index]}): "
             "stderr is zero"
         )
-    target = truncated_covariance(config.kind, grid[s_index], grid[t_index], config.truncation)
-    empirical = float(products.mean())
-    return CovarianceCheck(
-        s=float(grid[s_index]),
-        t=float(grid[t_index]),
-        empirical=empirical,
-        truncated_target=target,
-        stderr=stderr,
-        z_score=(empirical - target) / stderr,
-    )
+    return float(products.mean()), stderr
 
 
 def _allowed_exceedances(pair_count: int, z_threshold: float) -> int:
@@ -205,14 +192,22 @@ def covariance_test(
     """
     _require_test_settings(pair_count, z_threshold)
     config = ensemble.config
+    grid = config.grid
     usable = np.flatnonzero(ensemble.values.max(axis=0) > ensemble.values.min(axis=0))
     skipped = usable.size == 0
-    checks = ()
+    pairs = np.empty((0, 2), dtype=np.intp)
     if not skipped:
         sampler = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED + 1))
-        picks = usable[sampler.integers(0, usable.size, size=(pair_count, 2))]
-        checks = tuple(empirical_covariance(ensemble, int(s), int(t)) for s, t in picks)
-    exceedances = sum(1 for c in checks if abs(c.z_score) > z_threshold)
+        pairs = usable[sampler.integers(0, usable.size, size=(pair_count, 2))]
+    keys = list(map(tuple, pairs.tolist()))
+    moments = [empirical_covariance(ensemble, s, t) for s, t in keys]
+    empirical, stderr = np.array(moments).reshape(-1, 2).T
+    # One target per distinct pair: each is a sum over the J terms.
+    targets = {(s, t): truncated_covariance(config.kind, grid[s], grid[t], config.truncation)
+               for s, t in dict.fromkeys(keys)}
+    target = np.array([targets[key] for key in keys])
+    z_score = (empirical - target) / stderr
+    exceedances = int(np.count_nonzero(np.abs(z_score) > z_threshold))
     allowed = _allowed_exceedances(pair_count, z_threshold)
     if skipped:
         message = "all grid columns are degenerate; covariance test skipped"
@@ -222,7 +217,12 @@ def covariance_test(
             f"(allowed {allowed})"
         )
     return CovarianceTestReport(
-        checks=checks,
+        s=grid[pairs[:, 0]],
+        t=grid[pairs[:, 1]],
+        empirical=empirical,
+        truncated_target=target,
+        stderr=stderr,
+        z_score=z_score,
         exceedances=exceedances,
         allowed_exceedances=allowed,
         passed=exceedances <= allowed,

@@ -4,6 +4,7 @@ Exit-code contract: 0 success/pass, 1 verification failure, 2 usage or
 configuration error (argparse errors also exit 2 via SystemExit).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -86,7 +87,13 @@ class TestVerify:
         (("verify", "--proof", "3", "--J", "10000001"), "level must be <= 10000000, got 10000001"),
         (("series", "--which", "triangular", "--N", "0,5"), "level must be >= 1, got 0"),
         (("series", "--which", "zeta", "--N", "10000001"), "level must be <= 10000000, got 10000001"),
-    ], ids=["verify-low", "verify-high", "series-low", "series-high"])
+        # Past int64: the level is refused before any array is sized from it.
+        (("verify", "--J", "100000000000000000000"),
+         "level must be <= 10000000, got 100000000000000000000"),
+        (("series", "--which", "zeta", "--N", "100000000000000000000"),
+         "level must be <= 10000000, got 100000000000000000000"),
+    ], ids=["verify-low", "verify-high", "series-low", "series-high", "verify-past-int64",
+            "series-past-int64"])
     def test_both_level_walkers_word_a_bad_level_alike(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -200,6 +207,21 @@ class TestOracle:
         assert out == ""
         assert err.startswith("error: eigensolver failed to converge on 2000 nodes")
         assert "Traceback" not in err
+
+    def test_non_positive_operator_eigenvalue_exits_1(self, capsys, monkeypatch):
+        solve = klx.nystrom.nystrom_solve
+
+        def third_eigenvalue_zero(kind, n_nodes, n_eigs):
+            solution = solve(kind, n_nodes, n_eigs)
+            mu = solution.eigenvalues.copy()
+            mu[2] = 0.0
+            return dataclasses.replace(solution, eigenvalues=mu)
+
+        monkeypatch.setattr(klx.nystrom, "nystrom_solve", third_eigenvalue_zero)
+        code, out, err = run(capsys, "oracle", "--kind", "wiener", "--nodes", "64", "--eigs", "5")
+        assert (code, out) == (1, "")
+        assert err == ("error: operator eigenvalue 3 is not positive; "
+                       "too many modes requested\n")
 
 
 class TestSimulate:

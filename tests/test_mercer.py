@@ -137,12 +137,12 @@ class TestConvergenceReport:
     def test_rows_and_pass(self):
         report = proof_report(2, [10, 100, 1000])
         assert report.proof_id == "Proof2"
-        assert [row.j_terms for row in report.rows] == [10, 100, 1000]
-        estimates = [row.estimate for row in report.rows]
+        assert list(report.j_terms) == [10, 100, 1000]
+        estimates = report.estimate.tolist()
         assert all(a < b for a, b in zip(estimates, estimates[1:]))
         assert report.passes()
-        for row in report.rows:
-            assert row.abs_error <= row.tail_bound
+        for abs_error, tail_bound in zip(report.abs_error, report.tail_bound):
+            assert abs_error <= tail_bound
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestConvergenceReport:
         monkeypatch.setattr(mercer, "_kahan", stub_sum)
         monkeypatch.setattr(series, "_kahan", stub_sum)
         report = proof_report(proof, [series._MAX_TERMS])
-        assert [row.j_terms for row in report.rows] == [series._MAX_TERMS]
+        assert list(report.j_terms) == [series._MAX_TERMS]
         assert len(sums) == 1
         # Route 3 asks for J odd-index terms (step 2), not 2J terms of every index.
         assert requested == ([] if proof == 1 else [(series._MAX_TERMS, 2 if proof == 3 else 1)])
@@ -189,8 +189,8 @@ class TestConvergenceReport:
             3: lambda j: (2.0 * math.pi**2) * mercer_partial(KernelKind.DETRENDED, 0.5, 2 * j),
         }[proof]
         report = proof_report(proof, levels)
-        assert [row.j_terms for row in report.rows] == levels
-        assert [row.estimate for row in report.rows] == [per_level(j) for j in levels]
+        assert list(report.j_terms) == levels
+        assert report.estimate.tolist() == [per_level(j) for j in levels]
 
     @pytest.mark.parametrize("proof, j_max", [(3, 1000), (2, 1000)])
     def test_each_route_builds_its_terms_once(self, proof, j_max, monkeypatch):
@@ -227,8 +227,8 @@ class TestConvergenceReport:
         route1 = [(4.0 / 3.0) * odd_squares_partial(j - 1) for j in ladder]
         route3 = [(2.0 * math.pi**2) * mercer_partial(KernelKind.DETRENDED, 0.5, 2 * j)
                   for j in ladder]
-        assert [row.estimate for row in proof_report(1, ladder).rows] == route1
-        assert [row.estimate for row in proof_report(3, ladder).rows] == route3
+        assert proof_report(1, ladder).estimate.tolist() == route1
+        assert proof_report(3, ladder).estimate.tolist() == route3
 
 
 class TestTruncatedCovariance:

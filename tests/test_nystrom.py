@@ -1,5 +1,6 @@
 """Tests for the Nystrom discretization of the kernel eigenproblem."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -176,25 +177,38 @@ class TestComparison:
     def test_first_modes_match_at_moderate_resolution(self, kind):
         comparison = compare_eigenpairs(kind, 5, 400)
         assert comparison.passes()
-        for row in comparison.rows:
-            assert row.rel_error <= 1e-3
-            assert row.max_deviation <= 1e-3
+        for rel_error, max_deviation in zip(comparison.rel_error, comparison.max_deviation):
+            assert rel_error <= 1e-3
+            assert max_deviation <= 1e-3
 
     def test_detrended_even_rows_are_root_eigenvalues(self):
         comparison = compare_eigenpairs(KernelKind.DETRENDED, 6, 400)
-        for row in comparison.rows:
-            assert row.analytic == eigenvalue(KernelKind.DETRENDED, row.j)
-            assert row.nystrom == pytest.approx(row.analytic, rel=1e-3)
+        for j, analytic, nystrom in zip(comparison.j.tolist(), comparison.analytic,
+                                        comparison.nystrom):
+            assert analytic == eigenvalue(KernelKind.DETRENDED, j)
+            assert nystrom == pytest.approx(analytic, rel=1e-3)
 
     def test_bridge_modes_match(self):
         comparison = compare_eigenpairs(KernelKind.BRIDGE, 5, 400)
-        for row in comparison.rows:
-            assert row.analytic == pytest.approx(row.j**2 * math.pi**2, rel=1e-15)
-            assert row.rel_error <= 1e-3
+        for j, analytic, rel_error in zip(comparison.j.tolist(), comparison.analytic,
+                                          comparison.rel_error):
+            assert analytic == pytest.approx(j**2 * math.pi**2, rel=1e-15)
+            assert rel_error <= 1e-3
 
     def test_sign_agnostic_eigenvector_match(self):
         # deviations are measured after sign alignment, so they are small even
         # though the raw eigensolver sign is arbitrary
         comparison = compare_eigenpairs(KernelKind.DEMEANED, 5, 400)
-        assert max(row.max_deviation for row in comparison.rows) <= 1e-3
+        assert comparison.max_deviation.max() <= 1e-3
+
+    def test_refuses_a_non_positive_operator_eigenvalue(self, monkeypatch):
+        def third_eigenvalue_zero(kind, n_nodes, n_eigs):
+            solution = nystrom_solve(kind, n_nodes, n_eigs)
+            mu = solution.eigenvalues.copy()
+            mu[2] = 0.0
+            return dataclasses.replace(solution, eigenvalues=mu)
+
+        monkeypatch.setattr(klx.nystrom, "nystrom_solve", third_eigenvalue_zero)
+        with pytest.raises(RuntimeError, match="operator eigenvalue 3 is not positive"):
+            compare_eigenpairs(KernelKind.WIENER, 5, 64)
 

@@ -121,20 +121,35 @@ def test_benchmark_tracer_installs(tmp_path):
     # _kahan fails here too.
     # The 700 x 101 export is past two _CSV_MIN_PART_VALUES, so with two CPUs
     # it forks a writer child under the traced wrapper.
-    spans = tmp_path / "spans.json"
+    # The two oracle runs reach the oracle hooks on each side of the Nystrom
+    # solver's choice: the dense Gram at 300 nodes, the matrix-free apply at 500.
+    path = tmp_path / "spans.json"
     big = tmp_path / "big.csv"
-    for argv in (("series", "--which", "zeta", "--N", "10"),
-                 ("verify", "--proof", "all", "--J", "10", "--format", "json"),
-                 ("simulate", "--kind", "wiener", "--J", "10", "--M", "16", "--grid-points", "3",
-                  "--pairs", "2", "--format", "json", "--out", str(tmp_path / "paths.csv")),
-                 ("simulate", "--kind", "bridge", "--J", "10", "--M", "700", "--grid-points",
-                  "101", "--pairs", "2", "--format", "json", "--out", str(big))):
-        result = run_script("benchmarks/tracer.py", str(spans), "t", "--", *argv)
+    runs = {
+        "series": ("series", "--which", "zeta", "--N", "10"),
+        "verify": ("verify", "--proof", "all", "--J", "10", "--format", "json"),
+        "simulate": ("simulate", "--kind", "wiener", "--J", "10", "--M", "16", "--grid-points",
+                     "3", "--pairs", "2", "--format", "json",
+                     "--out", str(tmp_path / "paths.csv")),
+        "simulate-big": ("simulate", "--kind", "bridge", "--J", "10", "--M", "700",
+                         "--grid-points", "101", "--pairs", "2", "--format", "json",
+                         "--out", str(big)),
+        "oracle-dense": ("oracle", "--kind", "detrended", "--nodes", "300", "--eigs", "5"),
+        "oracle-matrix-free": ("oracle", "--kind", "bridge", "--nodes", "500", "--eigs", "3"),
+    }
+    spans = {}
+    for name, argv in runs.items():
+        result = run_script("benchmarks/tracer.py", str(path), "t", "--", *argv)
         assert result.returncode == 0, result.stderr
-        names = {span["name"] for span in json.loads(spans.read_text())}
-        assert "series.kahan" in names
-    assert "simulate.write_ensemble_csv" in names
+        spans[name] = json.loads(path.read_text())
+    names = {run: {span["name"] for span in run_spans} for run, run_spans in spans.items()}
+    for run in ("series", "verify", "simulate", "simulate-big"):
+        assert "series.kahan" in names[run]
+    assert "simulate.write_ensemble_csv" in names["simulate-big"]
     assert csv_row_count(big) == 700
+    grams = [span["entries"] for span in spans["oracle-dense"] if span["name"] == "kernels.gram"]
+    assert grams == [300 * 300]
+    assert "eigen.bessel_roots" in names["oracle-dense"]
 
 
 def test_readme_library_example_runs():

@@ -244,12 +244,14 @@ class TestEmpiricalCovariance:
     def test_matches_truncated_target_at_scale(self):
         cfg = config(truncation=500, n_paths=20000, grid=np.array([0.5, 1.0]), seed=3)
         ensemble = sample_paths(cfg)
-        check = empirical_covariance(ensemble, 1, 1)
-        assert check.truncated_target == pytest.approx(
+        report = covariance_test(ensemble, pair_count=50, z_threshold=4.0)
+        at_one = (report.s == 1.0) & (report.t == 1.0)
+        assert at_one.any()
+        assert report.truncated_target[at_one] == pytest.approx(
             mercer_partial(KernelKind.WIENER, 1.0, 500), rel=1e-15
         )
-        assert abs(check.z_score) <= 4.0
-        assert check.stderr > 0.0
+        assert (np.abs(report.z_score[at_one]) <= 4.0).all()
+        assert (report.stderr[at_one] > 0.0).all()
 
     def test_degenerate_column_raises(self):
         cfg = config(grid=np.array([0.0, 0.5]))
@@ -265,8 +267,10 @@ class TestEmpiricalCovariance:
     def test_target_kind_override(self):
         cfg = config(truncation=64, n_paths=256, grid=np.array([0.5, 1.0]))
         ensemble = sample_paths(cfg)
-        check = empirical_covariance(as_bridge(ensemble), 1, 1)
-        assert check.truncated_target == pytest.approx(
+        report = covariance_test(as_bridge(ensemble), pair_count=50, z_threshold=4.0)
+        at_one = (report.s == 1.0) & (report.t == 1.0)
+        assert at_one.any()
+        assert report.truncated_target[at_one] == pytest.approx(
             truncated_covariance(KernelKind.BRIDGE, 1.0, 1.0, 64), rel=1e-15
         )
 
@@ -278,7 +282,7 @@ class TestCovarianceTest:
         report = covariance_test(sample_paths(cfg), pair_count=50, z_threshold=4.0)
         assert report.passed and not report.skipped
         assert report.exceedances <= report.allowed_exceedances
-        assert len(report.checks) == 50
+        assert len(report.z_score) == 50
 
     def test_negative_control_fails(self):
         cfg = config(truncation=200, n_paths=20000, grid=np.linspace(0.0, 1.0, 11), seed=9)
@@ -302,7 +306,7 @@ class TestCovarianceTest:
         cfg = config(truncation=64, n_paths=2000, grid=np.linspace(0.0, 1.0, 5), seed=1)
         report = covariance_test(sample_paths(cfg), pair_count=20, z_threshold=4.0)
         assert not report.skipped
-        assert all(c.s > 0.0 and c.t > 0.0 for c in report.checks)
+        assert (report.s > 0.0).all() and (report.t > 0.0).all()
 
     def test_constant_nonzero_column_excluded_from_sampling(self):
         # A column of 0.1 in every row has no spread, though its float std is
@@ -314,13 +318,14 @@ class TestCovarianceTest:
         report = covariance_test(PathEnsemble(config=cfg, values=values), pair_count=20,
                                  z_threshold=4.0)
         assert not report.skipped and report.passed
-        assert all(0.5 not in (c.s, c.t) and c.s > 0.0 and c.t > 0.0 for c in report.checks)
+        assert all(0.5 not in (s, t) and s > 0.0 and t > 0.0
+                   for s, t in zip(report.s, report.t))
 
     def test_all_degenerate_grid_skips(self):
         cfg = config(kind=KernelKind.BRIDGE, grid=np.array([0.0, 1.0]))
         report = covariance_test(sample_paths(cfg), pair_count=10, z_threshold=4.0)
         assert report.skipped and report.passed
-        assert report.checks == ()
+        assert report.z_score.size == 0
 
     def test_tiny_ensemble_runs_low_power(self):
         cfg = config(n_paths=2, grid=np.array([0.5, 1.0]), truncation=8)
@@ -342,11 +347,37 @@ class TestCovarianceTest:
             covariance_test(sample_paths(config()), pair_count=simulate._MAX_PAIRS + 1,
                             z_threshold=4.0)
 
+    def test_columns_are_the_per_pair_moments_and_targets(self):
+        cfg = config(truncation=64, n_paths=500, grid=np.linspace(0.0, 1.0, 5), seed=4)
+        ensemble = sample_paths(cfg)
+        report = covariance_test(ensemble, pair_count=20, z_threshold=4.0)
+        pairs = zip(np.searchsorted(cfg.grid, report.s).tolist(),
+                    np.searchsorted(cfg.grid, report.t).tolist())
+        empirical, stderr, target = np.array(
+            [(*empirical_covariance(ensemble, s, t),
+              truncated_covariance(cfg.kind, cfg.grid[s], cfg.grid[t], cfg.truncation))
+             for s, t in pairs]).T
+        assert report.empirical.tobytes() == empirical.tobytes()
+        assert report.stderr.tobytes() == stderr.tobytes()
+        assert report.truncated_target.tobytes() == target.tobytes()
+        assert report.z_score.tobytes() == ((empirical - target) / stderr).tobytes()
+
+    def test_one_target_per_distinct_pair(self, monkeypatch):
+        calls = []
+        target = simulate.truncated_covariance
+        monkeypatch.setattr(simulate, "truncated_covariance",
+                            lambda *args: calls.append(args) or target(*args))
+        # Wiener at t = 0 is constant, so 2 usable columns give at most 4 ordered pairs.
+        report = covariance_test(sample_paths(config(grid=np.linspace(0.0, 1.0, 3))),
+                                 pair_count=50, z_threshold=4.0)
+        assert report.z_score.size == 50
+        assert 1 <= len(calls) <= 4
+
     def test_deterministic_pair_sampling(self):
         cfg = config(truncation=32, n_paths=500, seed=12)
         a = covariance_test(sample_paths(cfg), pair_count=10, z_threshold=4.0)
         b = covariance_test(sample_paths(cfg), pair_count=10, z_threshold=4.0)
-        assert [(c.s, c.t) for c in a.checks] == [(c.s, c.t) for c in b.checks]
+        assert list(zip(a.s, a.t)) == list(zip(b.s, b.t))
 
 
 class TestSerialization:
