@@ -55,8 +55,7 @@ def _sinpi(x: np.ndarray) -> np.ndarray:
 
 #: Frequency offset a and phase p per kind: lambda_j = ((j + a) pi)^2 and
 #: f_j(t) = sqrt(2) sin(pi ((j + a) t + p)), where p = 1/2 gives the cosine
-#: with the sine's exact special values.  The even detrended indices are
-#: overwritten from the Bessel roots.
+#: with the sine's exact special values (the even detrended rows: see _rows).
 _SPECTRA = {
     KernelKind.WIENER: (-0.5, 0.0),
     KernelKind.DEMEANED: (0.0, 0.5),
@@ -93,32 +92,33 @@ def bessel_roots(n_max: int) -> np.ndarray:
     return _roots_cache[:n_max]
 
 
-def _indices(j_max: int, step: int) -> np.ndarray:
-    """Indices 1, 1 + step, 1 + 2 step, ... (j_max of them) as floats."""
+def _indices(j_max: int, step: int, every: int = 1) -> np.ndarray:
+    """Every every-th of the indices 1, 1 + step, ... (j_max of them), as floats."""
+    return np.arange(1, step * j_max + 1, step * every, dtype=float)
+
+
+def _rows(kind: KernelKind, j_max: int, step: int, closed, from_roots, shape=()) -> np.ndarray:
+    """closed(every) builds rows from _indices(j_max, step, every) itself, so that array goes
+    after first use; an odd step's even detrended rows j = 2n are from_roots(n, z_n)."""
     _require_count(j_max, "eigenpair index")
     _require_count(step, "step")
-    return np.arange(1, step * j_max + 1, step, dtype=float)
-
-
-def _even_detrended(j_max: int, step: int):
-    """Rows of the even indices j = 2n among 1, 1 + step, ... (j_max of them),
-    their root numbers n and their Bessel roots z_n.  They are every other row
-    from the second when the step is odd; an even step has none and solves no
-    root."""
-    if step % 2 == 0 or j_max < 2:
-        return slice(0), np.empty(0), np.empty(0)
+    if kind is not KernelKind.DETRENDED or step % 2 == 0 or j_max < 2:
+        return closed(1)
     n = np.arange((step + 1) // 2, step * (j_max // 2) + 1, step)
-    return slice(1, None, 2), n, bessel_roots(int(n[-1]))[(step - 1) // 2::step]
+    # Roots first: solved after the half-size rows, their temporaries add 46 MB at the J cap.
+    z = bessel_roots(int(n[-1]))[(step - 1) // 2::step]
+    out = np.empty((j_max, *shape))
+    out[::2] = closed(2)
+    out[1::2] = from_roots(n, z)
+    return out
 
 
 def eigenvalues(kind: KernelKind, j_max: int, step: int = 1) -> np.ndarray:
     """Eigenvalues for indices 1, 1 + step, ... (j_max of them), strictly increasing."""
     offset, _ = _SPECTRA[kind]
-    lam = (_indices(j_max, step) + offset) ** 2 * PI_SQUARED
-    if kind is KernelKind.DETRENDED:
-        rows, _, z = _even_detrended(j_max, step)
-        lam[rows] = 4.0 * z ** 2
-    return lam
+    return _rows(kind, j_max, step,
+                 lambda every: (_indices(j_max, step, every) + offset) ** 2 * PI_SQUARED,
+                 lambda n, z: 4.0 * z ** 2)
 
 
 def eigenvalue(kind: KernelKind, j: int) -> float:
@@ -136,18 +136,20 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1) -> np.n
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     offset, phase = _SPECTRA[kind]
-    # Rebinding out frees _sinpi's argument before the detrended rows are built.
-    out = (_indices(j_max, step)[:, None] + offset) * t
-    out += phase
-    out = _sinpi(out)
-    out *= SQRT2
-    if kind is KernelKind.DETRENDED:
-        rows, n, z = _even_detrended(j_max, step)
-        z = z[:, None]
-        sign = np.where(n % 2 == 1, 1.0, -1.0)[:, None]
-        amplitude = SQRT2 / np.abs(np.sin(z))
-        out[rows] = sign * amplitude * np.sin(2.0 * z * (t - 0.5))
-    return out
+
+    def closed(every: int) -> np.ndarray:
+        # Rebinding out frees _sinpi's argument.
+        out = (_indices(j_max, step, every)[:, None] + offset) * t
+        out += phase
+        out = _sinpi(out)
+        out *= SQRT2
+        return out
+
+    def from_roots(n: np.ndarray, z: np.ndarray) -> np.ndarray:
+        sign, z = np.where(n % 2 == 1, 1.0, -1.0)[:, None], z[:, None]
+        return sign * (SQRT2 / np.abs(np.sin(z))) * np.sin(2.0 * z * (t - 0.5))
+
+    return _rows(kind, j_max, step, closed, from_roots, t.shape)
 
 
 def eigenfunction(kind: KernelKind, j: int, t: float) -> float:

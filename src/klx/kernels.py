@@ -137,7 +137,7 @@ def gram(kind: KernelKind, grid) -> GramMatrix:
     """
     g = _validated_grid(grid)
     full = _kernel_array(kind, g, g)
-    upper = np.triu(full, k=1)
-    entries = upper + upper.T + np.diag(np.diag(full))
+    entries = np.triu(full)
+    entries += np.triu(full, k=1).T
     entries.setflags(write=False)
     return GramMatrix(entries=entries)

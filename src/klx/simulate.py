@@ -40,17 +40,15 @@ KLX1_MAGIC = b"KLX1"
 
 _BLOCK_PATHS = 2048
 _MAX_SEED = 2**64
-#: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.
-#: A run holds up to three such arrays at once: at the J cap, eigen._sinpi's operand,
-#: rounded copy and result, then the basis and the two copies np.linalg.qr makes, so
-#: ``klx simulate --J 6100000 --M 2 --grid-points 11`` peaks at 1629-1636 MB for every
-#: kind; at the M cap (--J 2 --M 6100000) it peaks at 641 MB.
+#: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.  A run
+#: holds up to three at once (eigen._sinpi's operand, rounded copy and result, then the basis
+#: and np.linalg.qr's two copies): ``klx simulate --J 6100000 --M 2 --grid-points 11`` peaks
+#: at 1613 MB (detrended) to 1629 MB; at the M cap (--J 2 --M 6100000) at 641 MB.
 _MAX_ENTRIES = 2**26
-#: Most pairs one covariance test draws.  A pair costs its products over the paths, and a
-#: distinct pair, at most U**2 for U usable columns, one truncated_covariance, linear in J
-#: (Wiener, medians of 3-5): 10**4 pairs took 1.07 s at J = 2000 on 20 000 paths and 11
-#: points; one target 0.18 s at J = 10**6, 0.78 s at 6 * 10**6 and 0.08 s at 6.6 * 10**5,
-#: so 95 s for 121 targets at the J * G cap with 11 points, 13 min for 10**4 with 101.
+#: Most pairs one covariance test draws.  It computes each distinct unordered pair once, at
+#: most U(U+1)/2 for U usable columns: 0.1 ms of products on 20 000 paths and one target linear
+#: in J (Wiener, medians of 3-5: 0.3 ms at J = 2000, 0.1 s at 6.6 * 10**5, 1.0-1.3 s at 6 * 10**6).
+#: 10**4 pairs at J = 2000 on 20 000 paths took 0.05 s with 11 points, 4.2 s with 101.
 _MAX_PAIRS = 10**4
 #: Fewest values worth a forked CSV writer process.  Median ``_write_csv`` ms, 1
 #: part against 2, 101 columns, 2 CPUs, ranges of 2-4 runs of 15: 2**12 values 1.9-2.0
@@ -199,13 +197,13 @@ def covariance_test(
     if not skipped:
         sampler = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED + 1))
         pairs = usable[sampler.integers(0, usable.size, size=(pair_count, 2))]
-    keys = list(map(tuple, pairs.tolist()))
-    moments = [empirical_covariance(ensemble, s, t) for s, t in keys]
-    empirical, stderr = np.array(moments).reshape(-1, 2).T
-    # One target per distinct pair: each is a sum over the J terms.
-    targets = {(s, t): truncated_covariance(config.kind, grid[s], grid[t], config.truncation)
-               for s, t in dict.fromkeys(keys)}
-    target = np.array([targets[key] for key in keys])
+    # Once per distinct unordered pair: both helpers give (s, t) and (t, s) the same bits.
+    slots: dict[tuple[int, int], int] = {}
+    where = [slots.setdefault((min(s, t), max(s, t)), len(slots)) for s, t in pairs.tolist()]
+    rows = [(*empirical_covariance(ensemble, s, t),
+             truncated_covariance(config.kind, grid[s], grid[t], config.truncation))
+            for s, t in slots]
+    empirical, stderr, target = np.array(rows).reshape(-1, 3).T[:, where]
     z_score = (empirical - target) / stderr
     exceedances = int(np.count_nonzero(np.abs(z_score) > z_threshold))
     allowed = _allowed_exceedances(pair_count, z_threshold)

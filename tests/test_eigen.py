@@ -256,6 +256,28 @@ class TestEigenfunctions:
         assert np.array_equal(eigen._sinpi(x[:, None]).ravel().view(np.int64), expected)
         assert np.signbit(expected.view(float)[x == np.round(x)]).any()
 
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("j_max", [1, 2, 7, 1000])
+    def test_detrended_rows_match_per_row_reference(self, j_max, step):
+        # Each row from its own closed form, bit for bit: the cosine for odd j, the
+        # Bessel-root sine for even j = 2n, and the eigenvalue of the same branch.
+        t = np.array([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+        matrix = eigenfunction_matrix(KernelKind.DETRENDED, j_max, t, step)
+        lam = eigenvalues(KernelKind.DETRENDED, j_max, step)
+        assert matrix.shape == (j_max, t.size) and lam.shape == (j_max,)
+        for row, j in enumerate(range(1, step * j_max + 1, step)):
+            if j % 2:
+                expected = eigen.SQRT2 * eigen._sinpi((j + 1.0) * t + 0.5)
+                expected_lam = (j + 1.0) ** 2 * eigen.PI_SQUARED
+            else:
+                n = j // 2
+                z = bessel_roots(n)[-1:]
+                sign = 1.0 if n % 2 else -1.0
+                expected = sign * (eigen.SQRT2 / np.abs(np.sin(z))) * np.sin(2.0 * z * (t - 0.5))
+                expected_lam = 4.0 * z[0] ** 2
+            assert matrix[row].tobytes() == expected.tobytes(), j
+            assert lam[row] == expected_lam, j
+
     def test_matrix_matches_scalar(self):
         t = np.array([0.0, 0.3, 0.5, 1.0])
         for kind in ALL_KINDS:

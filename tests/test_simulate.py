@@ -364,14 +364,45 @@ class TestCovarianceTest:
 
     def test_one_target_per_distinct_pair(self, monkeypatch):
         calls = []
-        target = simulate.truncated_covariance
-        monkeypatch.setattr(simulate, "truncated_covariance",
-                            lambda *args: calls.append(args) or target(*args))
-        # Wiener at t = 0 is constant, so 2 usable columns give at most 4 ordered pairs.
+        for name in ("empirical_covariance", "truncated_covariance"):
+            helper = getattr(simulate, name)
+            monkeypatch.setattr(simulate, name, lambda *args, name=name, helper=helper:
+                                calls.append(name) or helper(*args))
+        # Wiener at t = 0 is constant, so 2 usable columns give 3 unordered pairs.
         report = covariance_test(sample_paths(config(grid=np.linspace(0.0, 1.0, 3))),
                                  pair_count=50, z_threshold=4.0)
         assert report.z_score.size == 50
-        assert 1 <= len(calls) <= 4
+        assert 1 <= calls.count("empirical_covariance") <= 3
+        assert 1 <= calls.count("truncated_covariance") <= 3
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_helpers_give_both_orders_the_same_bits(self, kind):
+        # covariance_test computes each unordered pair once, so (s, t) and (t, s)
+        # must agree byte for byte, not merely to rounding.
+        for truncation in (1, 7, 1000):
+            for s, t in ((0.1, 0.9), (0.25, 0.5), (0.3337, 0.6663), (0.0, 1.0)):
+                forward = truncated_covariance(kind, s, t, truncation)
+                assert forward.hex() == truncated_covariance(kind, t, s, truncation).hex()
+        ensemble = sample_paths(config(kind=kind, truncation=1000, n_paths=300,
+                                       grid=np.linspace(0.0, 1.0, 7), seed=5))
+        usable = np.flatnonzero(np.ptp(ensemble.values, axis=0) > 0.0).tolist()
+        assert len(usable) >= 5
+        for s in usable:
+            for t in usable:
+                forward = np.array(empirical_covariance(ensemble, s, t))
+                assert forward.tobytes() == np.array(empirical_covariance(ensemble, t, s)).tobytes()
+
+    def test_rows_of_one_unordered_pair_are_byte_equal(self):
+        cfg = config(truncation=64, n_paths=500, grid=np.linspace(0.0, 1.0, 4), seed=6)
+        report = covariance_test(sample_paths(cfg), pair_count=200, z_threshold=4.0)
+        columns = (report.empirical, report.truncated_target, report.stderr, report.z_score)
+        rows: dict[tuple[float, float], set[bytes]] = {}
+        for i, (s, t) in enumerate(zip(report.s.tolist(), report.t.tolist())):
+            row = b"".join(column[i].tobytes() for column in columns)
+            rows.setdefault((min(s, t), max(s, t)), set()).add(row)
+        assert all(len(distinct) == 1 for distinct in rows.values())
+        drawn = set(zip(report.s.tolist(), report.t.tolist()))
+        assert any(s != t and (t, s) in drawn for s, t in drawn)
 
     def test_deterministic_pair_sampling(self):
         cfg = config(truncation=32, n_paths=500, seed=12)
