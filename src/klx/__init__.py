@@ -19,7 +19,6 @@ from .mercer import (
     ZETA2,
     ConvergenceReport,
     basel_estimate,
-    mercer_partial,
     mercer_terms,
     proof_report,
     proof_tail_bound,
@@ -89,7 +88,6 @@ __all__ = [
     "kernel_matrix",
     "kernel_value",
     "leibniz_partial",
-    "mercer_partial",
     "mercer_terms",
     "nystrom_solve",
     "odd_squares_partial",

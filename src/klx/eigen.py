@@ -74,7 +74,7 @@ def _solve_roots(n_max: int) -> np.ndarray:
     q = (np.arange(1, n_max + 1, dtype=float) + 0.5) * PI
     z = q - 1.0 / q
     for _ in range(_NEWTON_STEPS):
-        z = z - (np.sin(z) - z * np.cos(z)) / (z * np.sin(z))
+        z -= (np.sin(z) - z * np.cos(z)) / (z * np.sin(z))
     return z
 
 
@@ -99,17 +99,18 @@ def _indices(j_max: int, step: int, every: int = 1) -> np.ndarray:
 
 def _rows(kind: KernelKind, j_max: int, step: int, closed, from_roots, shape=()) -> np.ndarray:
     """closed(every) builds rows from _indices(j_max, step, every) itself, so that array goes
-    after first use; an odd step's even detrended rows j = 2n are from_roots(n, z_n)."""
+    after first use; an odd step's even detrended rows j = 2n are from_roots(first n, z_n)."""
     _require_count(j_max, "eigenpair index")
     _require_count(step, "step")
     if kind is not KernelKind.DETRENDED or step % 2 == 0 or j_max < 2:
         return closed(1)
-    n = np.arange((step + 1) // 2, step * (j_max // 2) + 1, step)
-    # Roots first: solved after the half-size rows, their temporaries add 46 MB at the J cap.
-    z = bessel_roots(int(n[-1]))[(step - 1) // 2::step]
+    first = (step + 1) // 2
+    # Roots first: solved after the half-size rows, they raise the J-cap peak by 70 MB.  No n
+    # array here: eigenvalues needs none, and holding one added 24 MB to that peak.
+    z = bessel_roots(first + step * (j_max // 2 - 1))[first - 1::step]
     out = np.empty((j_max, *shape))
     out[::2] = closed(2)
-    out[1::2] = from_roots(n, z)
+    out[1::2] = from_roots(first, z)
     return out
 
 
@@ -118,7 +119,7 @@ def eigenvalues(kind: KernelKind, j_max: int, step: int = 1) -> np.ndarray:
     offset, _ = _SPECTRA[kind]
     return _rows(kind, j_max, step,
                  lambda every: (_indices(j_max, step, every) + offset) ** 2 * PI_SQUARED,
-                 lambda n, z: 4.0 * z ** 2)
+                 lambda first, z: 4.0 * z ** 2)
 
 
 def eigenvalue(kind: KernelKind, j: int) -> float:
@@ -145,7 +146,8 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1) -> np.n
         out *= SQRT2
         return out
 
-    def from_roots(n: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def from_roots(first: int, z: np.ndarray) -> np.ndarray:
+        n = np.arange(first, first + step * z.size, step)
         sign, z = np.where(n % 2 == 1, 1.0, -1.0)[:, None], z[:, None]
         return sign * (SQRT2 / np.abs(np.sin(z))) * np.sin(2.0 * z * (t - 0.5))
 

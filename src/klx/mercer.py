@@ -65,25 +65,24 @@ def mercer_terms(kind: KernelKind, t: float, j_max: int, step: int = 1):
     return f * f / eigenvalues(kind, j_max, step)
 
 
-def mercer_partial(kind: KernelKind, t: float, j_max: int) -> float:
-    """Partial Mercer sum sum_{j<=j_max} f_j(t)^2 / lambda_j.
-
-    Converges to kernel_value(kind, t, t) as j_max grows.
-    """
-    return _kahan(mercer_terms(kind, t, j_max))
-
-
-def truncated_covariance(kind: KernelKind, s: float, t: float, j_max: int) -> float:
-    """Truncated expansion covariance sum_{j<=j_max} f_j(s) f_j(t) / lambda_j.
-
-    This is the exact covariance of a truncated expansion with j_max terms,
-    which is what simulated ensembles should be compared against.
+def truncated_covariance(kind: KernelKind, s, t, j_max: int):
+    """Truncated expansion covariance sum_{j<=j_max} f_j(s) f_j(t) / lambda_j, the exact
+    covariance of a j_max-term expansion: a float for points s and t, an array for equal-length
+    1-D sequences paired in order.  Points are checked, then the eigenfunctions are evaluated
+    once over the distinct points; each value is the correctly rounded sum of its own terms, so
+    (s, t) and (t, s) agree and s = t gives the partial Mercer sum of mercer_terms.
     """
     _require_count(j_max, "j_max")
-    s = _check_unit(s, "s")
-    t = _check_unit(t, "t")
-    fs, ft = eigenfunction_matrix(kind, j_max, [s, t]).T
-    return _kahan(fs * ft / eigenvalues(kind, j_max))
+    shape = np.shape(s)
+    if len(shape) > 1 or np.shape(t) != shape:
+        raise ValueError(f"s and t must be points or 1-D sequences of one length, "
+                         f"got shapes {shape} and {np.shape(t)}")
+    s, t = ([_check_unit(x, name) for x in np.ravel(v)] for v, name in ((s, "s"), (t, "t")))
+    points, where = np.unique(s + t, return_inverse=True)
+    f = eigenfunction_matrix(kind, j_max, points)
+    lam = eigenvalues(kind, j_max)
+    sums = np.array([_kahan(f[:, i] * f[:, k] / lam) for i, k in where.reshape(2, -1).T])
+    return sums if shape else float(sums[0])
 
 
 def basel_estimate(proof: int, j_terms: int) -> float:

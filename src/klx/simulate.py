@@ -43,12 +43,13 @@ _MAX_SEED = 2**64
 #: Largest basis or ensemble a config may ask for: 2**26 float64 entries, 512 MiB.  A run
 #: holds up to three at once (eigen._sinpi's operand, rounded copy and result, then the basis
 #: and np.linalg.qr's two copies): ``klx simulate --J 6100000 --M 2 --grid-points 11`` peaks
-#: at 1613 MB (detrended) to 1629 MB; at the M cap (--J 2 --M 6100000) at 641 MB.
+#: at 1613 MB (detrended) to 1629 MB; at the M cap (--J 2 --M 6100000) at 642 MB.
 _MAX_ENTRIES = 2**26
-#: Most pairs one covariance test draws.  It computes each distinct unordered pair once, at
-#: most U(U+1)/2 for U usable columns: 0.1 ms of products on 20 000 paths and one target linear
-#: in J (Wiener, medians of 3-5: 0.3 ms at J = 2000, 0.1 s at 6.6 * 10**5, 1.0-1.3 s at 6 * 10**6).
-#: 10**4 pairs at J = 2000 on 20 000 paths took 0.05 s with 11 points, 4.2 s with 101.
+#: Most pairs one covariance test draws.  It evaluates the eigenfunctions once, on the tested
+#: columns, then per distinct unordered pair (at most U(U+1)/2 for U usable columns) 0.16 ms
+#: of products on 20 000 paths and one J-term sum (Wiener, 11 points, medians of 3-5: 0.13 ms
+#: at J = 2000, 37 ms at 6.6 * 10**5, 0.33 s at 6 * 10**6).  10**4 pairs at J = 2000 on
+#: 20 000 paths took 0.02 s with 11 points, 1.6 s with 101.
 _MAX_PAIRS = 10**4
 #: Fewest values worth a forked CSV writer process.  Median ``_write_csv`` ms, 1
 #: part against 2, 101 columns, 2 CPUs, ranges of 2-4 runs of 15: 2**12 values 1.9-2.0
@@ -198,12 +199,11 @@ def covariance_test(
         sampler = np.random.Generator(np.random.Philox(key=config.seed * _MAX_SEED + 1))
         pairs = usable[sampler.integers(0, usable.size, size=(pair_count, 2))]
     # Once per distinct unordered pair: both helpers give (s, t) and (t, s) the same bits.
-    slots: dict[tuple[int, int], int] = {}
-    where = [slots.setdefault((min(s, t), max(s, t)), len(slots)) for s, t in pairs.tolist()]
-    rows = [(*empirical_covariance(ensemble, s, t),
-             truncated_covariance(config.kind, grid[s], grid[t], config.truncation))
-            for s, t in slots]
-    empirical, stderr, target = np.array(rows).reshape(-1, 3).T[:, where]
+    keys, where = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    moments = [empirical_covariance(ensemble, s, t) for s, t in keys.tolist()]
+    empirical, stderr = np.array(moments).reshape(-1, 2).T[:, where]
+    target = truncated_covariance(config.kind, grid[keys[:, 0]], grid[keys[:, 1]],
+                                  config.truncation)[where]
     z_score = (empirical - target) / stderr
     exceedances = int(np.count_nonzero(np.abs(z_score) > z_threshold))
     allowed = _allowed_exceedances(pair_count, z_threshold)

@@ -23,10 +23,10 @@ from klx import (
     covariance_test,
     eigenfunction_matrix,
     estermann_residual,
-    mercer_partial,
     sample_paths,
     triangular_closed_form,
     triangular_partial_table,
+    truncated_covariance,
     zeta2_tail_bounds,
     zeta_partial,
     zeta_partial_table,
@@ -70,8 +70,8 @@ def test_c02_route2_matches_zeta_partial():
 
 
 def test_c03_mercer_endpoint_values():
-    err_demeaned = abs(mercer_partial(KernelKind.DEMEANED, 1.0, 10**4) - 1.0 / 3.0)
-    err_detrended = abs(mercer_partial(KernelKind.DETRENDED, 0.5, 10**4) - 1.0 / 12.0)
+    err_demeaned = abs(truncated_covariance(KernelKind.DEMEANED, 1.0, 1.0, 10**4) - 1.0 / 3.0)
+    err_detrended = abs(truncated_covariance(KernelKind.DETRENDED, 0.5, 0.5, 10**4) - 1.0 / 12.0)
     ok = err_demeaned <= 1e-4 and err_detrended <= 1e-4
     report("C3", f"Mercer endpoints: |.-1/3|={err_demeaned:.2e}, |.-1/12|={err_detrended:.2e}",
            ok)

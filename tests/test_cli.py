@@ -508,7 +508,8 @@ _VERDICTS = {
                      "target pi^2/6 = 1.6449340668482264; tail bound violated"),
     "simulate-fails": (("simulate", "--kind", "wiener", "--J", "10", "--M", "200",
                         "--grid-points", "5", "--pairs", "5"),
-                       (klx.simulate, "truncated_covariance", lambda *args: 1e3), 1, 5,
+                       (klx.simulate, "truncated_covariance",
+                        lambda kind, s, t, j_max: np.full(len(s), 1e3)), 1, 5,
                        "5 of 5 pairs exceeded |z| > 4.0 (allowed 1)"),
     "simulate-skips": (("simulate", "--kind", "bridge", "--J", "8", "--M", "16",
                         "--grid-points", "2"), None, 0, 0, None),

@@ -12,7 +12,6 @@ from klx import (
     eigenfunction,
     eigenvalue,
     kernel_value,
-    mercer_partial,
     mercer_terms,
     odd_squares_partial,
     proof_report,
@@ -34,18 +33,20 @@ class TestMercerPartial:
     def test_single_term(self, kind):
         t = 0.37
         expected = eigenfunction(kind, 1, t) ** 2 / eigenvalue(kind, 1)
-        assert mercer_partial(kind, t, 1) == pytest.approx(expected, rel=1e-15)
+        assert truncated_covariance(kind, t, t, 1) == pytest.approx(expected, rel=1e-15)
 
     def test_wiener_diagonal_at_one(self):
-        assert mercer_partial(KernelKind.WIENER, 1.0, 10**4) == pytest.approx(1.0, abs=1e-3)
+        assert truncated_covariance(KernelKind.WIENER, 1.0, 1.0, 10**4) == pytest.approx(
+            1.0, abs=1e-3
+        )
 
     def test_demeaned_diagonal_at_one(self):
-        assert mercer_partial(KernelKind.DEMEANED, 1.0, 10**4) == pytest.approx(
+        assert truncated_covariance(KernelKind.DEMEANED, 1.0, 1.0, 10**4) == pytest.approx(
             1.0 / 3.0, abs=1e-4
         )
 
     def test_detrended_diagonal_at_center(self):
-        assert mercer_partial(KernelKind.DETRENDED, 0.5, 10**4) == pytest.approx(
+        assert truncated_covariance(KernelKind.DETRENDED, 0.5, 0.5, 10**4) == pytest.approx(
             1.0 / 12.0, abs=1e-4
         )
 
@@ -53,8 +54,8 @@ class TestMercerPartial:
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_pointwise_convergence_to_diagonal(self, kind, t):
         diag = kernel_value(kind, t, t)
-        err_coarse = abs(mercer_partial(kind, t, 1000) - diag)
-        err_fine = abs(mercer_partial(kind, t, 10000) - diag)
+        err_coarse = abs(truncated_covariance(kind, t, t, 1000) - diag)
+        err_fine = abs(truncated_covariance(kind, t, t, 10000) - diag)
         assert err_fine <= 1e-3
         if err_coarse == 0.0:
             # degenerate diagonal points (all eigenfunctions vanish there)
@@ -69,9 +70,9 @@ class TestMercerPartial:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            mercer_partial(KernelKind.WIENER, 0.5, 0)
+            truncated_covariance(KernelKind.WIENER, 0.5, 0.5, 0)
         with pytest.raises(ValueError):
-            mercer_partial(KernelKind.WIENER, 1.5, 10)
+            truncated_covariance(KernelKind.WIENER, 1.5, 1.5, 10)
 
 
 class TestBaselEstimates:
@@ -91,7 +92,7 @@ class TestBaselEstimates:
 
     @pytest.mark.parametrize("j_terms", [1, 10, 1000, 10**4])
     def test_route1_literal_form_agrees_to_4_ulps(self, j_terms):
-        literal = ZETA2 * mercer_partial(KernelKind.WIENER, 1.0, j_terms)
+        literal = ZETA2 * truncated_covariance(KernelKind.WIENER, 1.0, 1.0, j_terms)
         assert ulps_apart(basel_estimate(1, j_terms), literal) <= 4.0
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
@@ -185,8 +186,10 @@ class TestConvergenceReport:
         levels = [1000, 10, 1000, 1, 100000, 37]
         per_level = {
             1: lambda j: (4.0 / 3.0) * math.fsum((2 * k - 1) ** -2.0 for k in range(1, j + 1)),
-            2: lambda j: (math.pi**2 / 2.0) * mercer_partial(KernelKind.DEMEANED, 1.0, j),
-            3: lambda j: (2.0 * math.pi**2) * mercer_partial(KernelKind.DETRENDED, 0.5, 2 * j),
+            2: lambda j: (math.pi**2 / 2.0) * truncated_covariance(KernelKind.DEMEANED,
+                                                                   1.0, 1.0, j),
+            3: lambda j: (2.0 * math.pi**2) * truncated_covariance(KernelKind.DETRENDED,
+                                                                   0.5, 0.5, 2 * j),
         }[proof]
         report = proof_report(proof, levels)
         assert list(report.j_terms) == levels
@@ -225,16 +228,52 @@ class TestConvergenceReport:
     def test_ladder_matches_reference_routes_bit_for_bit(self):
         ladder = [1, 10, 10**3, 10**5, 10**6]
         route1 = [(4.0 / 3.0) * odd_squares_partial(j - 1) for j in ladder]
-        route3 = [(2.0 * math.pi**2) * mercer_partial(KernelKind.DETRENDED, 0.5, 2 * j)
-                  for j in ladder]
+        route3 = [(2.0 * math.pi**2)
+                  * truncated_covariance(KernelKind.DETRENDED, 0.5, 0.5, 2 * j) for j in ladder]
         assert proof_report(1, ladder).estimate.tolist() == route1
         assert proof_report(3, ladder).estimate.tolist() == route3
 
 
+#: Pairs for the sequence form: repeated, swapped and s = t pairs, endpoints included.
+_BATCH_S = [0.3, 0.7, 0.3, 0.0, 0.5, 1.0, 0.3337, 0.25, 0.3, 1.0]
+_BATCH_T = [0.7, 0.3, 0.7, 0.0, 0.5, 0.0, 0.6663, 0.25, 0.7, 1.0]
+
+
 class TestTruncatedCovariance:
-    def test_diagonal_matches_mercer_partial(self):
-        val = truncated_covariance(KernelKind.DEMEANED, 0.3, 0.3, 50)
-        assert val == pytest.approx(mercer_partial(KernelKind.DEMEANED, 0.3, 50), rel=1e-15)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("j_max", [1, 7, 1000])
+    def test_sequences_equal_the_scalar_calls_byte_for_byte(self, kind, j_max):
+        batch = truncated_covariance(kind, _BATCH_S, _BATCH_T, j_max)
+        assert batch.dtype == np.float64 and batch.shape == (len(_BATCH_S),)
+        scalars = [truncated_covariance(kind, s, t, j_max) for s, t in zip(_BATCH_S, _BATCH_T)]
+        assert all(type(value) is float for value in scalars)
+        assert batch.tobytes() == np.array(scalars).tobytes()
+        assert truncated_covariance(kind, np.array([0.4]), [0.4], j_max).shape == (1,)
+        assert truncated_covariance(kind, [], [], j_max).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("j_max", [1, 7, 1000])
+    def test_diagonal_is_the_sum_of_the_mercer_terms(self, kind, j_max):
+        for t in (0.0, 0.3, 0.5, 1.0):
+            expected = math.fsum(mercer_terms(kind, t, j_max)).hex()
+            assert truncated_covariance(kind, t, t, j_max).hex() == expected
+            assert truncated_covariance(kind, [0.9, t], [0.1, t], j_max)[1].hex() == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_bad_sequences_are_refused_before_any_evaluation(self, bad, monkeypatch):
+        calls = []
+        matrix = mercer.eigenfunction_matrix
+        monkeypatch.setattr(mercer, "eigenfunction_matrix",
+                            lambda *args: calls.append(args) or matrix(*args))
+        for s, t, name in (([0.2, bad], [0.3, 0.4], "s"), ([0.2, 0.3], [bad, 0.4], "t")):
+            with pytest.raises(ValueError, match=f"^{name} must lie in"):
+                truncated_covariance(KernelKind.WIENER, s, t, 10)
+        for s, t in (([0.2, 0.3], [0.4]), (0.2, [0.4]), ([[0.2]], [[0.4]])):
+            with pytest.raises(ValueError, match="1-D sequences of one length"):
+                truncated_covariance(KernelKind.WIENER, s, t, 10)
+        assert calls == []
+        truncated_covariance(KernelKind.WIENER, [0.2], [0.4], 10)
+        assert len(calls) == 1
 
     def test_symmetric(self):
         a = truncated_covariance(KernelKind.WIENER, 0.2, 0.9, 100)

@@ -146,6 +146,10 @@ def test_benchmark_tracer_installs(tmp_path):
     for run in ("series", "verify", "simulate", "simulate-big"):
         assert "series.kahan" in names[run]
     assert "simulate.write_ensemble_csv" in names["simulate-big"]
+    # One truncated_covariance call per covariance test, summed through _kahan.
+    targets = [span for span in spans["simulate-big"]
+               if span["name"] == "mercer.truncated_covariance"]
+    assert len(targets) == 1
     assert csv_row_count(big) == 700
     grams = [span["entries"] for span in spans["oracle-dense"] if span["name"] == "kernels.gram"]
     assert grams == [300 * 300]

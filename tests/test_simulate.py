@@ -34,14 +34,14 @@ from klx import (
     eigenvalues,
     empirical_covariance,
     gram,
-    mercer_partial,
+    mercer_terms,
     read_klx1,
     sample_paths,
     truncated_covariance,
     write_ensemble_csv,
     write_ensemble_klx1,
 )
-from klx import reports, simulate
+from klx import mercer, reports, simulate
 from klx.simulate import _MAX_ENTRIES, PathEnsemble, _atomic_file
 
 
@@ -234,7 +234,7 @@ class TestSampling:
         cfg = config(truncation=2000, n_paths=100_000, grid=np.array([1.0]), seed=7)
         ensemble = sample_paths(cfg)
         squares = ensemble.values[:, 0] ** 2
-        target = mercer_partial(KernelKind.WIENER, 1.0, 2000)
+        target = math.fsum(mercer_terms(KernelKind.WIENER, 1.0, 2000))
         assert target == pytest.approx(0.99990, abs=5e-5)
         stderr = squares.std(ddof=1) / np.sqrt(cfg.n_paths)
         assert abs(squares.mean() - target) <= 4.0 * stderr
@@ -248,7 +248,7 @@ class TestEmpiricalCovariance:
         at_one = (report.s == 1.0) & (report.t == 1.0)
         assert at_one.any()
         assert report.truncated_target[at_one] == pytest.approx(
-            mercer_partial(KernelKind.WIENER, 1.0, 500), rel=1e-15
+            math.fsum(mercer_terms(KernelKind.WIENER, 1.0, 500)), rel=1e-15
         )
         assert (np.abs(report.z_score[at_one]) <= 4.0).all()
         assert (report.stderr[at_one] > 0.0).all()
@@ -373,7 +373,19 @@ class TestCovarianceTest:
                                  pair_count=50, z_threshold=4.0)
         assert report.z_score.size == 50
         assert 1 <= calls.count("empirical_covariance") <= 3
-        assert 1 <= calls.count("truncated_covariance") <= 3
+        assert calls.count("truncated_covariance") == 1
+
+    def test_one_eigenfunction_evaluation_per_test(self, monkeypatch):
+        ensemble = sample_paths(config(truncation=200, n_paths=500,
+                                       grid=np.linspace(0.0, 1.0, 11), seed=8))
+        calls = []
+        matrix = mercer.eigenfunction_matrix
+        monkeypatch.setattr(mercer, "eigenfunction_matrix",
+                            lambda *args: calls.append(np.size(args[2])) or matrix(*args))
+        report = covariance_test(ensemble, pair_count=50, z_threshold=4.0)
+        assert report.z_score.size == 50
+        # One call over the distinct columns the drawn pairs touch.
+        assert calls == [np.unique(np.concatenate([report.s, report.t])).size]
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_helpers_give_both_orders_the_same_bits(self, kind):
