@@ -7,6 +7,19 @@ every analytic eigenpair against the integral equation it must satisfy; and
 reproducible Monte Carlo simulation of truncated expansions.
 """
 
+import os
+
+# numpy's OpenBLAS starts a worker thread per CPU at import, which busy-waits
+# after start-up and after every threaded call.  On a 2-vCPU x86 host that spin
+# was 17-43 % of the CPU time of each benchmark workload (the oracle at 2000
+# nodes, four processes: 2.11 -> 1.42 s; `import numpy` alone: 0.21 -> 0.14 s
+# of wall time), and the thread count changed the last bits of dense eigh and
+# QR results, so output bytes depended on the CPUs a process could use.  One
+# thread gives the same bytes on any CPU count.  A value the caller set is
+# kept.  This runs before the first import of numpy below, so it reaches the
+# CLI; a program that imported numpy before klx keeps numpy's own thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .eigen import (
     bessel_roots,
     eigenfunction,

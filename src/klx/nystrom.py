@@ -7,17 +7,21 @@ operator eigenvalues mu_j approximate 1/lambda_j; nothing here reuses the
 analytic formulas, so agreement between the two routes validates both.
 
 Only the top k eigenpairs are wanted, so the solver depends on (n, k) alone.
-When the block p = 2k + 8 is at most 1/20 of the n nodes, block subspace
+When the block p = 2k + 8 is at most 1/10 of the n nodes, block subspace
 iteration with Rayleigh-Ritz (Rutishauser 1970; Saad, Numerical Methods for
 Large Eigenvalue Problems, 2011, ch. 5) stops once every kept Ritz pair has a
 residual at rounding level.  Each step applies the operator to the n x p block
 matrix-free, in O(n p) (``kernels._kernel_apply``), so this side never forms
 the Gram matrix.  Otherwise one dense eigh of the whole Gram matrix is
-cheaper: that is Rayleigh-Ritz on the whole space, exact in one step.  The
-1/20 share was the crossover at 1000 and 2000 nodes on a 2-vCPU x86 host with
-OpenBLAS while the iteration multiplied by the dense matrix.  With the
-matrix-free apply, iteration stays ahead down to about n/p = 15, 11 and 7 at
-1000, 2000 and 4096 nodes, so the rule errs towards eigh.
+cheaper: that is Rayleigh-Ritz on the whole space, exact in one step.  With
+BLAS on one thread (see ``klx/__init__.py``), on a 2-vCPU x86 host with
+OpenBLAS, detrended kernel, iteration stays ahead down to about n/p = 9 at
+128-1000 nodes and about 7 at 2000 and 4096 nodes (medians of 5-30 runs up to
+1000 nodes, best of 1-2 above): at 1000 nodes dense eigh took 0.23 s against
+0.20 s iterated at n/p = 10 and 0.27 s at 8; at 4096 nodes 14.4 s against
+10.6 s at n/p = 10 and 21.5 s at 6.  The 1/10 share follows the smaller sizes,
+and it keeps the golden configs on the side that made their bytes (128 nodes,
+3 eigenpairs stays dense).
 
 The kink of min(s, t) along the diagonal limits the quadrature to algebraic
 convergence, which is plenty for a validation oracle: relative eigenvalue
@@ -52,7 +56,7 @@ _MAX_NODES = 4096
 # kernels here converge in 10-20 steps, so the cap only stops a solve gone
 # wrong.
 _GUARD_COLUMNS = 8
-_ITERATION_SHARE = 20
+_ITERATION_SHARE = 10
 _RESIDUAL_RTOL = 1e-14
 _MAX_ITERATIONS = 100
 

@@ -9,8 +9,11 @@ The normals of an ensemble come from one Philox counter-based stream keyed by
 the seed (key seed * 2**64), drawn in path order, so a path's normals do not
 depend on the ensemble size or on the block that holds it.  Paths are
 projected in fixed blocks of ``_BLOCK_PATHS``, because BLAS may round a row
-differently in a matmul of another shape; identical configs therefore give
-identical bytes.  The blocks also bound the memory the normals take.
+differently in a matmul of another shape.  BLAS runs on one thread
+(``klx/__init__.py``), because the QR factor and the matmul each rounded
+differently on 1 and 2 threads.  Identical configs therefore give identical
+bytes on any number of CPUs.  The blocks also bound the memory the normals
+take.
 Statistical checks compare empirical covariances against the truncated target
 sum_{j<=J} f_j(s) f_j(t) / lambda_j, which isolates Monte Carlo error from
 truncation bias.
@@ -295,8 +298,9 @@ def _write_csv(ensemble: PathEnsemble, path: str, parts: int) -> None:
     appends each part in place; on any exception it kills and reaps every live
     child.  Processes, not threads: ``%`` formatting holds the GIL, and two
     threads took 29 % longer and 8 MB more on 20 000 x 101 values.  A child
-    runs only element-wise numpy, ``%`` and writes, no BLAS, so forking after
-    BLAS has started its threads is safe."""
+    runs only element-wise numpy, ``%`` and writes, never BLAS, so forking stays
+    safe when a caller has given BLAS worker threads, which a child does not
+    inherit."""
     values = ensemble.values
     bounds = [values.shape[0] * k // parts for k in range(parts + 1)]
     parent = os.getpid()

@@ -571,3 +571,54 @@ def test_import_does_not_load_process_pools():
 def test_import_does_not_load_secrets():
     # Temp file names come from os.urandom; secrets would bring hmac and hashlib.
     assert loaded_by_import("secrets", "hmac", "hashlib") == "[]"
+
+
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+def unpinned_env(**settings):
+    """src_env() without the BLAS thread count that importing klx set in this process."""
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return dict(env, **settings)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize(("preset", "expected"), [(None, "1"), ("2", "2")])
+def test_import_runs_blas_on_one_thread_unless_the_caller_chose(preset, expected):
+    # The preset "2" is the negative control: its second thread shows that the
+    # count below sees OpenBLAS's worker threads.
+    settings = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    probe = ("import os, klx.cli; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=unpinned_env(**settings),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.split()
+    assert value == expected
+    if len(_CPUS) >= int(expected):
+        assert threads == expected
+
+
+@pytest.mark.skipif(len(_CPUS) < 2, reason="needs 2 or more CPUs")
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--kind", "wiener", "--J", "2000", "--M", "200", "--grid-points", "201",
+     "--seed", "3", "--out", "{out}", "--format", "json"),
+    ("oracle", "--kind", "bridge", "--nodes", "300", "--eigs", "20", "--format", "json"),
+], ids=["simulate", "oracle"])
+def test_output_bytes_do_not_depend_on_the_cpu_count(tmp_path, argv):
+    # With BLAS on as many threads as CPUs, the QR factor, the projection and the
+    # dense eigh each rounded differently on one CPU than on two.
+    out = tmp_path / "paths.klx"
+    cpu = min(_CPUS)
+    runs = []
+    for preexec in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        result = subprocess.run([sys.executable, "-m", "klx.cli",
+                                 *(arg.format(out=out) for arg in argv)],
+                                env=unpinned_env(), capture_output=True, timeout=120,
+                                preexec_fn=preexec)
+        assert result.returncode in (0, 1), result.stderr
+        runs.append((result.returncode, result.stdout, out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert ("--out" in argv) == (runs[0][2] is not None)
+    assert runs[0] == runs[1]

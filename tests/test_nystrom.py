@@ -106,20 +106,42 @@ class TestTopEigenpairSolver:
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
     def test_small_block_iterates(self, monkeypatch):
-        # block 2*6 + 8 = 20 is 1/20 of 400 nodes: only 20 x 20 Ritz problems
+        # block 2*16 + 8 = 40 is 1/10 of 400 nodes: only 40 x 40 Ritz problems
         shapes = record_eigh_shapes(monkeypatch)
-        nystrom_solve(KernelKind.WIENER, 400, 6)
+        nystrom_solve(KernelKind.WIENER, 400, 16)
         assert len(shapes) > 1
-        assert set(shapes) == {(20, 20)}
+        assert set(shapes) == {(40, 40)}
 
     def test_large_block_takes_one_whole_space_eigh(self, monkeypatch):
-        # block 2*7 + 8 = 22 exceeds 1/20 of 400 nodes
+        # block 2*17 + 8 = 42 exceeds 1/10 of 400 nodes
         shapes = record_eigh_shapes(monkeypatch)
-        solution = nystrom_solve(KernelKind.WIENER, 400, 7)
+        solution = nystrom_solve(KernelKind.WIENER, 400, 17)
         assert shapes == [(400, 400)]
-        mu, vectors = dense_top_eigenpairs(KernelKind.WIENER, 400, 7)
+        mu, vectors = dense_top_eigenpairs(KernelKind.WIENER, 400, 17)
         assert solution.eigenvalues.tobytes() == mu.tobytes()
         assert solution.eigenvectors.tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize(("n_nodes", "n_eigs", "side"), [
+        # The golden configs and study script's ladder, and the oracle workload
+        (100, 5, "dense"), (300, 20, "dense"), (128, 3, "dense"), (4096, 400, "dense"),
+        (500, 3, "iterated"), (2000, 5, "iterated"), (4096, 150, "iterated"),
+    ])
+    def test_side_taken(self, monkeypatch, n_nodes, n_eigs, side):
+        # Each side stops at its first step: the dense side builds the Gram
+        # matrix, the iterated side applies the operator matrix-free.
+        class Taken(Exception):
+            pass
+
+        def stop(name):
+            def raising(*args):
+                raise Taken(name)
+            return raising
+
+        monkeypatch.setattr(klx.nystrom, "gram", stop("dense"))
+        monkeypatch.setattr(klx.nystrom, "_kernel_apply", stop("iterated"))
+        nodes = np.linspace(0.0, 1.0, n_nodes)
+        with pytest.raises(Taken, match=side):
+            klx.nystrom._top_eigenpairs(KernelKind.DETRENDED, nodes, np.ones(n_nodes), n_eigs)
 
     def test_iteration_cap_raises_runtime_error(self, monkeypatch):
         monkeypatch.setattr(klx.nystrom, "_MAX_ITERATIONS", 1)

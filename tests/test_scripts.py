@@ -122,7 +122,8 @@ def test_benchmark_tracer_installs(tmp_path):
     # The 700 x 101 export is past two _CSV_MIN_PART_VALUES, so with two CPUs
     # it forks a writer child under the traced wrapper.
     # The two oracle runs reach the oracle hooks on each side of the Nystrom
-    # solver's choice: the dense Gram at 300 nodes, the matrix-free apply at 500.
+    # solver's choice: the dense Gram at 119 nodes (block 12 is over 1/10 of
+    # them), the matrix-free apply at 500.
     path = tmp_path / "spans.json"
     big = tmp_path / "big.csv"
     runs = {
@@ -134,7 +135,7 @@ def test_benchmark_tracer_installs(tmp_path):
         "simulate-big": ("simulate", "--kind", "bridge", "--J", "10", "--M", "700",
                          "--grid-points", "101", "--pairs", "2", "--format", "json",
                          "--out", str(big)),
-        "oracle-dense": ("oracle", "--kind", "detrended", "--nodes", "300", "--eigs", "5"),
+        "oracle-dense": ("oracle", "--kind", "detrended", "--nodes", "119", "--eigs", "2"),
         "oracle-matrix-free": ("oracle", "--kind", "bridge", "--nodes", "500", "--eigs", "3"),
     }
     spans = {}
@@ -152,7 +153,7 @@ def test_benchmark_tracer_installs(tmp_path):
     assert len(targets) == 1
     assert csv_row_count(big) == 700
     grams = [span["entries"] for span in spans["oracle-dense"] if span["name"] == "kernels.gram"]
-    assert grams == [300 * 300]
+    assert grams == [119 * 119]
     assert "eigen.bessel_roots" in names["oracle-dense"]
 
 
