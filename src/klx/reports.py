@@ -2,9 +2,12 @@
 
 Every machine-format float, in a table, an ``extra`` value or an ensemble
 CSV, is printed by one writer, ``_g17_text``, with the bytes of
-``"%.17g" % x``, so values round-trip exactly through text.  It formats
-numpy blocks by exact integer arithmetic, and values outside [1e-4, 1e6) by
-``%`` into the same template; the bytes do not depend on the blocks.
+``"%.17g" % x``, so values round-trip exactly through text.  It formats a
+numpy block by exact integer arithmetic into one NUL-padded template per
+value, values outside [1e-4, 1e6) by ``%`` into the same template, and drops
+the NULs of the whole block in one pass; the bytes do not depend on the
+blocks.  A pretty table's widths come from the same pass, stopped before the
+templates.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import functools
 import json
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,48 +42,71 @@ class Table:
 
 
 # The %.17g writer.  A value x with |x| in [1e-4, 1e6), or +-0, prints in
-# fixed notation.  Its decimal exponent E, in -4..5, comes from one lookup,
-# where |x| falls among the powers of ten 1e-4 ... 1e6; the 17 significant
-# digits are those of N = round-half-even(|x| * 10**(16 - E)), in
-# [10**16, 10**17), computed exactly from the significand m < 2**53 as
-# m * 5**(16 - E) in two 64-bit limbs, shifted right.  The digits of N go
-# into a 32-byte template of four little-endian words, "-0.000d." "d.d.d.d."
-# "d.dddddd" "ddddds..", where s is the separator; the bytes to keep depend
-# only on the sign, E and the index of the last nonzero digit, and come from
-# one row of the keep table.  Outside the window the template holds the
-# "%.17g" text and separator, <= 25 bytes.
+# fixed notation.  Its class holds its sign and decimal exponent E, in -4..5.
+# The top 12 bits of x, sign and biased exponent b, pick its binade, whose
+# table entry is the class of the binade's smallest values; at most one power
+# of ten 1ek lies in a binade, and values from it up are one class higher.  The
+# 17 significant digits are those of N = round-half-even(|x| * 10**(16 - E)),
+# in [10**16, 10**17).  With the significand m < 2**53, x = m * 2**(b - 1075)
+# and N = m * 5**k / 2**s for k = 16 - E and s = 1059 + E - b in 22..46.  The
+# float product |x| * 10**k, truncated, is within 13 of N, so m * 5**k mod
+# 2**64 minus it times 2**s is the exact remainder, below 2**51 in magnitude:
+# its high bits correct the estimate and its low bits round it.  The digits of
+# N go into a 32-byte template of four little-endian words, "-0.000d."
+# "d.d.d.d." "d.dddddd" "ddddds..", where s is the separator; the bytes to keep
+# depend only on the class and the index of the last nonzero digit, and one
+# row of the mask table zeroes the others, so deleting every NUL byte leaves
+# the text.  A value outside the window (or subnormal, inf or nan) gets its
+# "%.17g" text, at most 24 bytes, in the template instead, NUL-padded up to
+# the separator, and a row that keeps everything.
 _U64 = np.uint64
-_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
-_TEN16 = _U64(10**16)
-# Each 1ek here is >= 10**k, and the double just below it prints with
-# exponent k - 1, so every |x| in [1ek, 1e(k+1)) prints with exponent k.
-_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-4, 7)])
 #: The separator, "," or "\n", as byte 5 of the fourth template word.
 _SEP = np.array([ord(","), ord("\n")], dtype=np.uint64) << _U64(40)
+#: Classes per sign, j = 0..13: j = E + 5 for E = -5..6, of which "%" formats
+#: j = 0 and 11; zero is j = 12, and every other binade, inf and nan j = 13.
+_CLASSES = 14
+#: The 34 binades that meet the window, 2**-14 ... 2**19, by biased exponent.
+_WINDOW = range(1009, 1043)
 
 
-def _keep_table() -> np.ndarray:
-    """Bytes to keep of the template, by row (sign * 10 + E + 4) * 17 + last
-    nonzero digit; then 33 prefix rows, the L-th keeping the first L bytes."""
+class _Tables(NamedTuple):
+    """The writer's lookup tables, k and s as in the comment above."""
+
+    lead: np.ndarray  # "-0.000d." by lead digit
+    dotted: np.ndarray  # "d.d.d.d." by 4-digit group
+    d5dot: np.ndarray  # "d.ddd"
+    plain: np.ndarray  # "dddd"
+    last: np.ndarray  # per group 0-3 and value: index in 1..16 of its last nonzero digit, or 0
+    classes: np.ndarray  # by sign and biased exponent: the class of the binade's smallest values
+    powers: np.ndarray  # the bits of the power of ten inside the binade, else 2**64 - 1
+    slow: np.ndarray  # by class: "%" formats it
+    scale: np.ndarray  # 10.0**k
+    pow5: np.ndarray  # 5**k, 0 where N = 0
+    shift: np.ndarray  # s plus the binade index
+    half: np.ndarray  # by s: 2**(s - 1) - 1
+    masks: np.ndarray  # by row: 0xff for each byte to keep
+    widths: np.ndarray  # by row: characters kept, 0 for a class "%" formats
+
+
+def _keep_table(exp: np.ndarray, slow: np.ndarray) -> np.ndarray:
+    """Bytes to keep of the template, by row class * 17 + last nonzero digit."""
     pos = np.arange(32)
     digit, dot = np.full(32, 99), np.full(32, 99)
     digit[[6, 8, 10, 12, 14, 16, *range(18, 29)]] = np.arange(17)
     dot[[7, 9, 11, 13, 15, 17]] = np.arange(6)
-    sign = np.arange(2)[:, None, None, None]
-    exp = np.arange(-4, 6)[:, None, None]
+    sign = (np.arange(exp.size) // _CLASSES)[:, None, None]
+    exp, slow = exp[:, None, None], slow[:, None, None]
     last = np.arange(17)[:, None]
-    keep = (((pos == 0) & (sign == 1)) | (pos == 29) | ((exp < 0) & (pos >= 1) & (pos < 2 - exp))
+    keep = (slow | ((pos == 0) & (sign == 1)) | (pos == 29)
+            | ((exp < 0) & (pos >= 1) & (pos < 2 - exp))
             | (digit <= np.maximum(exp, last)) | ((dot == exp) & (last > exp)))
-    return np.vstack([keep.reshape(-1, 32), pos < np.arange(33)[:, None]])
+    return keep.reshape(-1, 32)
 
 
 @functools.cache
-def _g17_tables() -> tuple[np.ndarray, ...]:
+def _g17_tables() -> _Tables:
     """The formatter's tables, built on first use so that importing klx does
-    not pay for them: the words "-0.000d." by lead digit; per 4-digit group
-    0000..9999 the words "d.d.d.d.", "d.ddd" and "dddd", NUL-padded; per
-    group 0-3 of N and group value, the index in 1..16 of its last nonzero
-    digit (0 if none); the keep table and its row lengths."""
+    not pay for them."""
     digits = np.stack([np.tile(np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8),
                                          10 ** (3 - i)), 10**i) for i in range(4)], axis=1)
 
@@ -91,86 +118,126 @@ def _g17_tables() -> tuple[np.ndarray, ...]:
             table[:, i] = digits[:, int(c)] if c.isdigit() else 0 if c == "_" else ord(c)
         return table.view("<u8").ravel()
 
-    last = (np.arange(1, 5, dtype=np.int8) * (digits != ord("0"))).max(axis=1)
-    keep = _keep_table()
-    return (words("-0.0003.")[:10], words("0.1.2.3."), words("0.123___"), words("0123____"),
-            (last + 4 * np.arange(4, dtype=np.int8)[:, None]) * (last > 0), keep, keep.sum(axis=1))
-
-
-def _scaled(m: np.ndarray, e: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """round-half-even(m * 2**e * 10**(16 - exp)) for m < 2**53 and 16 - exp
-    in 11..20, with the product shifted right by 1..63 bits."""
+    last = (np.arange(1, 5, dtype=np.int16) * (digits != ord("0"))).max(axis=1)
+    # Each 1ek is >= 10**k, and the double just below it prints with exponent
+    # k - 1, so every |x| in [1ek, 1e(k+1)) prints with exponent k.
+    powers = np.array([float(f"1e{k}") for k in range(-5, 7)])
+    low = np.ldexp(1.0, np.arange(_WINDOW.start - 1023, _WINDOW.stop - 1023))
+    below = np.searchsorted(powers, low) - 1
+    inside = powers[below + 1] < 2 * low
+    classes = np.full((2, 2048), _CLASSES - 1, dtype=np.int16)
+    bits = np.full((2, 2048), 2**64 - 1, dtype=np.uint64)
+    classes[:, _WINDOW] = below + np.arange(2)[:, None] * _CLASSES
+    bits[:, _WINDOW] = np.where(inside, powers[below + 1].view(np.uint64), bits[:, _WINDOW])
+    classes[:, 0] = 12 + np.arange(2) * _CLASSES
+    bits[:, 0] = 1  # zero, then subnormals one class up
+    sign, j = np.divmod(np.arange(2 * _CLASSES), _CLASSES)
+    slow = (j == 0) | (j == 11) | (j == 13)
+    exp = np.where(j < 12, j - 5, 0)  # zero prints as E = 0
     k = 16 - exp
-    p = _POW5[k]
-    mh, ml = m >> _U64(32), m & _U64(2**32 - 1)
-    ph, pl = p >> _U64(32), p & _U64(2**32 - 1)
-    lo = ml * pl
-    mid = mh * pl + ml * ph
-    low = lo + (mid << _U64(32))
-    high = mh * ph + (mid >> _U64(32)) + (low < lo)
-    shift = (-(k + e)).astype(np.uint64)
-    n = (high << (_U64(64) - shift)) | (low >> shift)
-    rest = low & ((_U64(1) << shift) - _U64(1))
-    return n + (rest + (n & _U64(1)) > _U64(1) << (shift - _U64(1)))
+    number = ~slow & (j != 12)
+    pow5 = np.array([5 ** int(i) for i in k], dtype=np.uint64) * number
+    # The binade index adds 2048 to b for a negative x.  Zero gets N = 0 with
+    # s = 40, and so does a value "%" formats, once its binade is set to 0.
+    shift = np.where(number, 1059 + exp, 40) + 2048 * sign * ~slow
+    keep = _keep_table(exp, slow)
+    return _Tables(
+        words("-0.0003.")[:10], words("0.1.2.3."), words("0.123___"), words("0123____"),
+        ((last + 4 * np.arange(4, dtype=np.int16)[:, None]) * (last > 0)).astype(np.int16),
+        classes.ravel(), bits.ravel(), slow, 10.0**k, pow5, shift.astype(np.uint64),
+        np.array([2 ** max(s - 1, 0) - 1 for s in range(64)], dtype=np.uint64),
+        (keep * np.uint8(0xFF)).view("<u8"),
+        np.where(slow.repeat(17), 0, keep.sum(axis=1) - 1).astype(np.int16))
 
 
-def _g17_slots(x: np.ndarray, row_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's 32-byte template, as four words, and its keep-table row."""
-    lead_words, dotted, d5dot, plain, last_digit, keep, _ = _g17_tables()
+def _g17_rows(x: np.ndarray) -> tuple:
+    """Each value's keep-table row, the lead digit and four 4-digit groups of
+    N (0 for a value "%" formats), and the indices and "%.17g" text of those
+    values."""
+    t = _g17_tables()
+    bits = x.view(np.uint64)
+    binade = bits >> _U64(52)
     a = np.abs(x)
-    exp = np.searchsorted(_POWERS_OF_TEN, a, side="right") - 5
-    fast = ((exp >= -4) & (exp <= 5)) | (a == 0.0)
-    a[~fast] = 0.0
-    exp[a == 0.0] = 0
-    frac, e = np.frexp(a)
-    m = (frac * 2.0**53).astype(np.uint64)
-    e = e.astype(np.int64) - 53
-    n = _scaled(m, e, exp)
-    lead = n // _TEN16
-    rest = n - lead * _TEN16
-    high = rest // _U64(10**8)
-    groups = (*np.divmod(high, _U64(10**4)), *np.divmod(rest - high * _U64(10**8), _U64(10**4)))
-    words = np.empty((x.size, 4), dtype="<u8")
-    words[:, 0] = lead_words[lead]
-    words[:, 1] = dotted[groups[0]]
-    third = plain[groups[2]]
-    words[:, 2] = d5dot[groups[1]] | (third << _U64(40))
-    words[:, 3] = ((third >> _U64(24)) | (plain[groups[3]] << _U64(8))
-                   | _SEP[row_end.view(np.uint8)])
-    last = np.maximum(np.maximum(last_digit[0][groups[0]], last_digit[1][groups[1]]),
-                      np.maximum(last_digit[2][groups[2]], last_digit[3][groups[3]]))
-    row = (np.signbit(x) * 10 + exp + 4) * 17 + last
-    slow = np.flatnonzero(~fast)
-    text = np.array(["%.17g%s" % (v, "\n" if end else ",")
-                     for v, end in zip(x[slow].tolist(), row_end[slow].tolist())], dtype="S32")
+    cls = t.classes.take(binade)
+    cls += a.view(np.uint64) >= t.powers.take(binade)
+    slow = np.flatnonzero(t.slow.take(cls))
+    if slow.size:
+        a[slow] = 0.0
+        binade[slow] = 0
+    a *= t.scale.take(cls)
+    n = a.astype(np.uint64)  # within 13 of N
+    low = bits & _U64(2**52 - 1)
+    low |= _U64(2**52)
+    low *= t.pow5.take(cls)  # m * 5**k mod 2**64
+    s = t.shift.take(cls)
+    s -= binade
+    r = n << s
+    np.subtract(low, r, out=r)  # m * 5**k - n * 2**s, exact as a signed word
+    r += t.half.take(s)
+    low >>= s
+    low &= _U64(1)
+    r += low  # half to even: adds 2**(s - 1) - 1, plus 1 if m * 5**k // 2**s is odd
+    n, r = n.view(np.int64), r.view(np.int64)
+    r >>= s.view(np.int64)
+    n += r
+    high = n // 10**8
+    n -= high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    g0, g2 = high // 10**4, n // 10**4
+    high -= g0 * 10**4
+    n -= g2 * 10**4
+    groups = (g0, high, g2, n)
+    last = t.last[0].take(g0)
+    for i in range(1, 4):
+        np.maximum(last, t.last[i].take(groups[i]), out=last)
+    text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype="S32")
+    return cls * 17 + last, lead, groups, slow, text
+
+
+def _g17_words(row: np.ndarray, lead: np.ndarray, groups: tuple, slow: np.ndarray,
+               text: np.ndarray, row_end: np.ndarray) -> np.ndarray:
+    """Each value's masked template, as four words: NUL where no byte prints."""
+    t = _g17_tables()
+    words = np.empty((row.size, 4), dtype="<u8")
+    words[:, 0] = t.lead.take(lead)
+    words[:, 1] = t.dotted.take(groups[0])
+    third = t.plain.take(groups[2])
+    np.bitwise_or(t.d5dot.take(groups[1]), third << _U64(40), out=words[:, 2])
+    seps = _SEP.take(row_end.view(np.uint8))
+    third >>= _U64(24)
+    third |= t.plain.take(groups[3]) << _U64(8)
+    third |= seps
+    words[:, 3] = third
     words[slow] = text.view("<u8").reshape(-1, 4)
-    row[slow] = keep.shape[0] - 33 + np.char.str_len(text)
-    return words, row
+    words[slow, 3] |= seps[slow]
+    words &= t.masks.take(row, axis=0)
+    return words
 
 
 def _g17_text(x: np.ndarray, row_end: np.ndarray) -> bytes:
     """Bytes of ``"%.17g" % v`` for each v in x, each followed by "\\n" where
     row_end is true and by "," elsewhere."""
-    words, row = _g17_slots(x, row_end)
-    keep = _g17_tables()[5].take(row, axis=0)
-    return np.compress(keep.ravel(), words.view(np.uint8).ravel()).tobytes()
+    return _g17_words(*_g17_rows(x), row_end).tobytes().translate(None, b"\0")
 
 
 def _width(block: Sequence) -> int:
-    """Length of the longest cell of block, a float's from its keep-table row."""
+    """Length of the longest cell of block, a float's from its keep-table row
+    or its "%" text."""
     if not (isinstance(block, np.ndarray) and block.dtype == np.float64):
         return max(map(len, map(str, block)))
-    row = _g17_slots(block, np.ones(block.size, dtype=bool))[1]
-    return int(_g17_tables()[6].take(row).max()) - 1
+    row, *_, text = _g17_rows(block)
+    return max([int(_g17_tables().widths.take(row).max()), *np.char.str_len(text).tolist()])
 
 
-def _csv_blocks(values: np.ndarray, start: int, stop: int):
-    """Encoded CSV rows start..stop, formatted _BLOCK_VALUES values at a time."""
+def _csv_blocks(values: np.ndarray) -> Iterator[bytes]:
+    """Encoded CSV rows of a matrix, formatted _BLOCK_VALUES values at a time."""
     width = values.shape[1]
-    flat = np.asarray(values[start:stop], dtype=np.float64).reshape(-1)
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    row_end = np.arange(1, _BLOCK_VALUES + width + 1) % width == 0
     for i in range(0, flat.size, _BLOCK_VALUES):
         block = flat[i:i + _BLOCK_VALUES]
-        yield _g17_text(block, np.arange(i + 1, i + 1 + block.size) % width == 0)
+        yield _g17_text(block, row_end[i % width:i % width + block.size])
 
 
 def _cells(column: Sequence, start: int, as_json: bool) -> list[str]:

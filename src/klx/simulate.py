@@ -24,11 +24,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import shutil
-import signal
 import stat
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +51,6 @@ _MAX_ENTRIES = 2**26
 #: at J = 2000, 37 ms at 6.6 * 10**5, 0.33 s at 6 * 10**6).  10**4 pairs at J = 2000 on
 #: 20 000 paths took 0.02 s with 11 points, 1.6 s with 101.
 _MAX_PAIRS = 10**4
-#: Fewest values worth a forked CSV writer process.  Median ``_write_csv`` ms, 1
-#: part against 2, 101 columns, 2 CPUs, ranges of 2-4 runs of 15: 2**12 values 1.9-2.0
-#: against 5.5-6.0, 2**15 8.6-10.9 / 13.3-18.0, 2**16 14.1-23.0 / 16.8-23.4, 2**17
-#: 28.6-34.8 / 28.1-33.9, 2**18 60.6-70.1 / 43.9-56.0: two parts start at 2**16 values.
-_CSV_MIN_PART_VALUES = 2**15
 
 
 def _require_sizes(truncation: int, n_paths: int, grid_points: int) -> None:
@@ -266,77 +258,15 @@ def _atomic_file(path: str):
         raise
 
 
-def _csv_part_count(n_rows: int, n_cols: int) -> int:
-    """Processes that format a CSV export: one per CPU this process may run
-    on, at most one per row and one per _CSV_MIN_PART_VALUES values."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, n_rows, n_rows * n_cols // _CSV_MIN_PART_VALUES))
-
-
-def _format_part(part, values: np.ndarray, start: int, stop: int, parent: int):
-    """Forked CSV writer child: format rows start..stop into part, then ``os._exit``: 0
-    once flushed, 1 on any exception (after an ``error:`` line on fd 2) or when orphaned."""
-    try:
-        for chunk in _csv_blocks(values, start, stop):
-            if os.getppid() != parent:
-                os._exit(1)
-            part.write(chunk)
-        part.flush()
-        os._exit(0)
-    except BaseException as exc:
-        os.write(2, f"error: CSV writer process: {exc!r}\n".encode())
-    finally:
-        os._exit(1)
-
-
-def _write_csv(ensemble: PathEnsemble, path: str, parts: int) -> None:
-    """CSV export in ``parts`` contiguous row ranges, through one temp file of
-    _atomic_file, opened before any fork.  Each range after the first is
-    formatted by a forked child, _format_part, into an anonymous temporary file
-    the parent opened in path's directory.  The parent writes the header and the
-    first range into the temp file, then reaps the children in row order and
-    appends each part in place; on any exception it kills and reaps every live
-    child.  Processes, not threads: ``%`` formatting holds the GIL, and two
-    threads took 29 % longer and 8 MB more on 20 000 x 101 values.  A child
-    runs only element-wise numpy, ``%`` and writes, never BLAS, so forking stays
-    safe when a caller has given BLAS worker threads, which a child does not
-    inherit."""
-    values = ensemble.values
-    bounds = [values.shape[0] * k // parts for k in range(parts + 1)]
-    parent = os.getpid()
-    children: dict[int, tuple] = {}
-    with _atomic_file(path) as out, contextlib.ExitStack() as stack:
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                part = stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(path) or "."))
-                if (pid := os.fork()) == 0:
-                    _format_part(part, values, start, stop, parent)
-                children[pid] = (part, start, stop)
-            out.writelines(_csv_blocks(ensemble.config.grid[None, :], 0, 1))
-            out.writelines(_csv_blocks(values, 0, bounds[1]))
-            for pid, (part, start, stop) in list(children.items()):
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[pid]
-                if status != 0:
-                    how = (f"was killed by signal {-status}" if status < 0
-                           else f"exited with {status}")
-                    raise OSError(f"the CSV writer process for rows {start}-{stop} {how}")
-                part.seek(0)
-                shutil.copyfileobj(part, out)
-        finally:
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def write_ensemble_csv(ensemble: PathEnsemble, path: str) -> None:
     """CSV export: header row holds the grid, then one row per path.
 
-    Every value is printed exactly by the block writer of ``klx.reports``, in
-    up to one process per CPU this process may run on (forked children, one
-    contiguous row range each); the bytes do not depend on how many.
+    Every value is printed exactly by the block writer of ``klx.reports``, one
+    block at a time, each written straight into the temp file of _atomic_file.
     """
-    _write_csv(ensemble, path, _csv_part_count(*ensemble.values.shape))
+    with _atomic_file(path) as out:
+        out.writelines(_csv_blocks(ensemble.config.grid[None, :]))
+        out.writelines(_csv_blocks(ensemble.values))
 
 
 def write_ensemble_klx1(ensemble: PathEnsemble, path: str) -> None:

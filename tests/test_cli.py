@@ -427,7 +427,7 @@ class TestSimulate:
         assert os.listdir(tmp_path) == []
 
     def test_csv_bytes_do_not_depend_on_the_cpus_available(self, tmp_path):
-        # 2000 x 101 values: enough for a forked writer per CPU when more than one is free.
+        # 2000 x 101 values: many writer blocks, and BLAS on a run with one CPU or two.
         def one_cpu():
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
@@ -564,8 +564,17 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_does_not_load_process_pools():
-    # The CSV writer forks with os.fork; it needs no pool machinery.
+    # The CSV writer runs in the calling process; nothing needs pool machinery.
     assert loaded_by_import("multiprocessing", "concurrent") == "[]"
+
+
+def test_import_builds_no_writer_table():
+    # Every table of the %.17g writer is built on first use, not at import.
+    probe = "import klx.cli; from klx import reports; print(reports._g17_tables.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 def test_import_does_not_load_secrets():

@@ -135,18 +135,26 @@ def test_rows_across_block_edges_match_per_value_format(fmt):
 
 
 def test_pretty_formats_each_float_once(monkeypatch):
-    formatted = []
-    writer = reports._g17_text
+    # The width pass stops at the keep-table rows: the template words of each
+    # float block are built once, for its text.
+    formatted, templated = [], []
+    writer, words = reports._g17_text, reports._g17_words
 
     def counting_writer(x, row_end):
         formatted.append(x.size)
         return writer(x, row_end)
 
+    def counting_words(row, *args):
+        templated.append(row.size)
+        return words(row, *args)
+
     monkeypatch.setattr(reports, "_g17_text", counting_writer)
+    monkeypatch.setattr(reports, "_g17_words", counting_words)
     n = reports._BLOCK_VALUES + 5
     x, y = np.linspace(-1.0, 1.0, n), np.geomspace(1e-9, 1e9, n)
     to_pretty_text(Table(("j", "x", "y"), (range(n), x, y)))
     assert sum(formatted) == 2 * n
+    assert sorted(templated) == [5, 5, reports._BLOCK_VALUES, reports._BLOCK_VALUES]
 
 
 def g17_reference(values, row_end):
@@ -261,11 +269,33 @@ class TestG17Formatter:
 
 # The window's edges and the exponent boundaries inside it, 1e-4 ... 1e6.
 POWERS = [10.0**k for k in range(-4, 7)]
+#: The biased exponents of the 34 binades that meet the window, 2**-14 ... 2**19.
+WINDOW = range(1009, 1043)
+
+
+def binade_of(value):
+    """Index of value's binade in the writer's tables: its sign and biased exponent."""
+    return int(np.float64(value).view(np.uint64) >> np.uint64(52))
+
+
+def table_exponent(value, tables):
+    """The decimal exponent the tables give value: the class of its binade, one
+    up from the binade's power of ten."""
+    b = binade_of(value)
+    above = np.float64(abs(value)).view(np.uint64) >= tables.powers[b]
+    return int(tables.classes[b] + above) % reports._CLASSES - 5
+
+
+def binade_edges(b):
+    """The smallest and largest double of binade b, with their negatives."""
+    low = math.ldexp(1.0, b - 1023)
+    high = math.nextafter(2 * low, 0.0)
+    return [low, high, -low, -high]
 
 
 class TestExponentBoundaries:
-    """The writer takes E from where |x| falls among POWERS; both tests pin
-    why that is exact."""
+    """The writer takes E from the binade's table entry and one compare with
+    the power of ten inside it; these tests pin why that is exact."""
 
     @pytest.mark.parametrize("row_end", [False, True])
     def test_every_double_near_each_power(self, row_end):
@@ -279,6 +309,28 @@ class TestExponentBoundaries:
     @pytest.mark.parametrize("k", range(-4, 7))
     def test_each_power_starts_its_decade(self, k):
         power = POWERS[k + 4]
-        assert power == float(f"1e{k}") == reports._POWERS_OF_TEN[k + 4]
+        tables = reports._g17_tables()
+        for signed in (power, -power):
+            threshold = tables.powers[binade_of(signed)].view(np.float64)
+            assert power == float(f"1e{k}") == threshold
         assert Fraction(power) >= Fraction(10) ** k
         assert Decimal("%.17g" % math.nextafter(power, 0.0)).adjusted() == k - 1
+
+    @pytest.mark.parametrize("b", WINDOW)
+    def test_binade_edges_get_the_decade_of_e_format(self, b):
+        tables = reports._g17_tables()
+        for value in binade_edges(b):
+            assert table_exponent(value, tables) == int(("%.17e" % value).split("e")[1])
+        assert_g17(binade_edges(b))
+
+    @pytest.mark.parametrize("b", [WINDOW[0], 1019, 1023, 1038])
+    def test_a_binade_shifted_by_one_fails(self, b, monkeypatch):
+        # Negative control: move one binade's entry one class up, to a wrong
+        # exponent the writer still formats itself.  2**-14, 0.0625 and 1
+        # start binades that hold 1e-4, 0.1 and 1; 32768's holds no power.
+        tables = reports._g17_tables()
+        classes = tables.classes.copy()
+        classes[[b, 2048 + b]] += 1
+        monkeypatch.setattr(reports, "_g17_tables", lambda: tables._replace(classes=classes))
+        with pytest.raises(AssertionError):
+            assert_g17(binade_edges(b))

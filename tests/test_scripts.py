@@ -119,8 +119,7 @@ def test_benchmark_tracer_installs(tmp_path):
     # resolves, so renaming a wrapped function fails here.  The benchmark's
     # --trace 1 pass reads the series.kahan spans, so a sum routed around
     # _kahan fails here too.
-    # The 700 x 101 export is past two _CSV_MIN_PART_VALUES, so with two CPUs
-    # it forks a writer child under the traced wrapper.
+    # The 700 x 101 export writes five writer blocks under the traced wrapper.
     # The two oracle runs reach the oracle hooks on each side of the Nystrom
     # solver's choice: the dense Gram at 119 nodes (block 12 is over 1/10 of
     # them), the matrix-free apply at 500.

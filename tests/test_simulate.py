@@ -4,13 +4,11 @@ Heavy statistical runs live in the acceptance suite; here the ensembles are
 kept small enough to run in seconds while still exercising every contract.
 """
 
-import contextlib
 import dataclasses
 import math
 import os
 import pathlib
 import re
-import shutil
 import signal
 import stat
 import struct
@@ -481,8 +479,8 @@ class TestSerialization:
         ensemble = sample_paths(config(n_paths=3, grid=np.linspace(0.0, 1.0, 4)))
         blocks = simulate._csv_blocks
 
-        def failing_blocks(*args):
-            yield next(blocks(*args))
+        def failing_blocks(values):
+            yield next(blocks(values))
             raise RuntimeError("row formatting failed")
 
         monkeypatch.setattr(simulate, "_csv_blocks", failing_blocks)
@@ -531,191 +529,119 @@ def per_value_csv(grid, values):
     return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in [grid, *values]).encode()
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-#: Exports 200 x 4 paths to argv[1] in 2 parts; the child's range sleeps 0.05 s
-#: before each of its 100 one-row blocks, so it takes 5 s.
-SLOW_CHILD_EXPORT = """
+#: Exports 200 x 4 paths to argv[1], sleeping 0.05 s before each of its 200
+#: one-row blocks, so it takes 10 s.
+SLOW_EXPORT = """
 import sys, time
 import numpy as np
 from klx import KernelKind, simulate
 
 blocks = simulate._csv_blocks
 
-def slow_child_blocks(values, start, stop):
-    for row in range(start, stop):
-        if start > 0:
-            time.sleep(0.05)
-        yield from blocks(values, row, row + 1)
+def slow_blocks(values):
+    for row in values:
+        time.sleep(0.05)
+        yield from blocks(row[None, :])
 
-simulate._csv_blocks = slow_child_blocks
+simulate._csv_blocks = slow_blocks
 config = simulate.SimulationConfig(kind=KernelKind.BRIDGE, truncation=8, n_paths=200,
                                    grid=np.linspace(0.0, 1.0, 4))
-simulate._write_csv(simulate.sample_paths(config), sys.argv[1], 2)
+simulate.write_ensemble_csv(simulate.sample_paths(config), sys.argv[1])
 """
 
 
-def session_states(sid):
-    """State letter of every process in session sid, from /proc."""
-    states = []
-    for pid in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{pid}/stat") as handle:
-                fields = handle.read().rpartition(")")[2].split()
-        except (FileNotFoundError, ProcessLookupError):
-            continue  # exited and reaped since the listing
-        if int(fields[3]) == sid:
-            states.append(fields[0])
-    return states
-
-
-class TestCsvPartition:
-    """The CSV writer split into row ranges, each after the first formatted by
-    a forked child; the bytes must not depend on the split."""
+class TestCsvExport:
+    """The CSV export, written block by block into one temp file: the bytes are
+    the per-value reference, and a failed or interrupted export leaves no
+    partial file."""
 
     SPECIAL = np.array([[-0.0, 5e-324, 1e300, -1e300]])
 
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    @pytest.mark.parametrize("n_paths", [2, 7, 600], ids=["M-below-parts", "M-7", "M-600"])
-    def test_bytes_do_not_depend_on_the_part_count(self, tmp_path, parts, n_paths):
+    @pytest.mark.parametrize("n_paths", [2, 7, 600], ids=["M-2", "M-7", "M-600"])
+    def test_bytes_match_per_value_format(self, tmp_path, n_paths):
         grid = np.linspace(0.0, 1.0, 4)
         ensemble = sample_paths(config(n_paths=n_paths, grid=grid))
         path = tmp_path / "paths.csv"
-        simulate._write_csv(ensemble, str(path), parts)
+        write_ensemble_csv(ensemble, str(path))
         assert path.read_bytes() == per_value_csv(grid, ensemble.values)
         assert os.listdir(tmp_path) == ["paths.csv"]
-        assert_no_child_left()
 
-    @pytest.mark.parametrize("parts", [2, 3])
-    def test_special_values_in_a_child_range(self, tmp_path, parts):
-        # The last range always goes to a child; put the special values there.
+    def test_special_values_in_the_last_rows(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 4)
         values = np.vstack([np.full((5, 4), 0.1), self.SPECIAL, -self.SPECIAL])
         ensemble = PathEnsemble(config=config(n_paths=7, grid=grid), values=values)
         path = tmp_path / "paths.csv"
-        simulate._write_csv(ensemble, str(path), parts)
+        write_ensemble_csv(ensemble, str(path))
         expected = per_value_csv(grid, values)
         assert path.read_bytes() == expected
         assert b"-0,4.9406564584124654e-324,1.0000000000000001e+300,-1.0000000000000001e+300\n" in expected
 
-    def failing_in(self, monkeypatch, failing_range):
-        """Make _csv_blocks raise on the row range failing_range picks."""
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["header", "first-block", "third-block"])
+    def test_failed_block_keeps_existing_file(self, tmp_path, monkeypatch, failing):
+        # 300 x 101 values: the header's block, then a full block and a ragged one.
+        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 101)))
         blocks = simulate._csv_blocks
+        written = []
 
-        def failing_blocks(values, start, stop):
-            if failing_range(start):
-                raise RuntimeError(f"formatting rows {start}-{stop} failed")
-            return blocks(values, start, stop)
+        def failing_blocks(values):
+            for chunk in blocks(values):
+                if len(written) == failing:
+                    raise RuntimeError(f"formatting block {failing} failed")
+                written.append(len(chunk))
+                yield chunk
 
         monkeypatch.setattr(simulate, "_csv_blocks", failing_blocks)
-
-    @pytest.mark.parametrize("where, failing, appended", [
-        ("child", lambda start: start > 0, 0),
-        ("last-child", lambda start: start == 200, 1),
-        ("parent", lambda start: start == 0, 0),
-    ], ids=["child", "last-child", "parent"])
-    def test_failed_range_keeps_existing_file(self, tmp_path, monkeypatch, capfd, where,
-                                              failing, appended):
-        # Rows 0-100 go to the parent, 100-200 and 200-300 to two children.
-        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
-        self.failing_in(monkeypatch, failing)
-        copies = []
-        copy = shutil.copyfileobj
-        monkeypatch.setattr(shutil, "copyfileobj", lambda src, dst: copies.append(copy(src, dst)))
         path = tmp_path / "paths.csv"
         path.write_bytes(b"previous export\n")
-        with pytest.raises(RuntimeError if where == "parent" else OSError):
-            simulate._write_csv(ensemble, str(path), 3)
-        assert len(copies) == appended
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            write_ensemble_csv(ensemble, str(path))
+        assert len(written) == failing
         assert path.read_bytes() == b"previous export\n"
         assert os.listdir(tmp_path) == ["paths.csv"]
-        assert_no_child_left()
-        if where != "parent":
-            rows = "100-200" if where == "child" else "200-300"
-            assert f"formatting rows {rows} failed" in capfd.readouterr().err
 
-    def test_interrupted_parent_kills_its_children(self, tmp_path, monkeypatch):
-        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
+    def test_interrupted_export_leaves_nothing(self, tmp_path, monkeypatch):
+        ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 101)))
         blocks = simulate._csv_blocks
 
-        def stalled_children(values, start, stop):
-            if start > 0:
-                os.kill(os.getpid(), signal.SIGSTOP)  # the child only ends by SIGKILL
-            elif start == 0:
+        def interrupted_blocks(values):
+            chunks = blocks(values)
+            yield next(chunks)
+            if values.shape[0] > 1:
                 raise KeyboardInterrupt
-            return blocks(values, start, stop)
+            yield from chunks
 
-        monkeypatch.setattr(simulate, "_csv_blocks", stalled_children)
+        monkeypatch.setattr(simulate, "_csv_blocks", interrupted_blocks)
         path = tmp_path / "paths.csv"
         with pytest.raises(KeyboardInterrupt):
-            simulate._write_csv(ensemble, str(path), 3)
+            write_ensemble_csv(ensemble, str(path))
         assert os.listdir(tmp_path) == []
-        assert_no_child_left()
 
     def test_killed_export_leaves_only_its_temp_file(self, tmp_path):
-        # SIGKILL reaches the parent alone; its child must notice and exit,
-        # and its anonymous part vanish with it.
         path = tmp_path / "paths.csv"
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        driver = subprocess.Popen([sys.executable, "-c", SLOW_CHILD_EXPORT, str(path)],
-                                  env=env, start_new_session=True)
+        driver = subprocess.Popen([sys.executable, "-c", SLOW_EXPORT, str(path)], env=env)
         try:
             deadline = time.monotonic() + 30
             while not any(name.endswith(".tmp") for name in os.listdir(tmp_path)):
                 assert driver.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
+        finally:
             driver.kill()
             driver.wait()
-            deadline = time.monotonic() + 2
-            while set(session_states(driver.pid)) - {"Z"}:
-                assert time.monotonic() < deadline, "a CSV writer child outlived its parent"
-                time.sleep(0.01)
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(driver.pid, signal.SIGKILL)
-            driver.wait()
+        assert driver.returncode == -signal.SIGKILL
         [left] = os.listdir(tmp_path)
         assert re.fullmatch(r"paths\.csv\.[0-9a-f]{12}\.tmp", left)
-
-    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
-        def refuse():
-            raise AssertionError("forked with one CPU")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", refuse)
-        grid = np.linspace(0.0, 1.0, 101)
-        ensemble = sample_paths(config(n_paths=2000, grid=grid))
-        path = tmp_path / "paths.csv"
-        write_ensemble_csv(ensemble, str(path))
-        assert path.read_bytes() == per_value_csv(grid, ensemble.values)
-
-    def test_part_count(self, monkeypatch):
-        count = simulate._csv_part_count
-        minimum = simulate._CSV_MIN_PART_VALUES
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert count(10**4, 101) == 8
-        assert count(3, 2**20) == 3
-        assert count(minimum - 1, 1) == 1
-        assert count(3 * minimum // 101 + 1, 101) == 3
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
-        assert count(10**4, 101) == 1
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert count(10**4, 101) == 1
 
 
 class TestCsvBlocks:
     """Block edges of the CSV writer: the bytes are the per-value reference."""
 
-    @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize("shape", [(3, 1), (reports._BLOCK_VALUES + 1, 1),
                                        (1, 2 * reports._BLOCK_VALUES + 5),
                                        (reports._BLOCK_VALUES // 7 + 3, 7)],
                              ids=["G-1", "G-1-past-a-block", "one-row", "ragged-last-block"])
-    def test_block_edges(self, tmp_path, shape, parts):
+    def test_block_edges(self, tmp_path, shape):
         size = shape[0] * shape[1]
         values = np.random.default_rng(size).standard_normal(size)
         # Values that take the per-value fallback, on both sides of each block edge.
@@ -726,9 +652,8 @@ class TestCsvBlocks:
         grid = np.linspace(0.0, 1.0, shape[1]) if shape[1] > 1 else np.array([0.5])
         ensemble = PathEnsemble(config=config(n_paths=max(shape[0], 2), grid=grid), values=values)
         path = tmp_path / "paths.csv"
-        simulate._write_csv(ensemble, str(path), min(parts, shape[0]))
+        write_ensemble_csv(ensemble, str(path))
         assert path.read_bytes() == per_value_csv(grid, values)
-        assert_no_child_left()
 
 
 class TestKlx1Properties:
@@ -839,36 +764,21 @@ class TestNonRegularTarget:
     """An existing target that is not a regular file, or an empty path, is
     refused, never replaced."""
 
-    @pytest.mark.parametrize(
-        "write", [write_ensemble_csv, write_ensemble_klx1,
-                  lambda ensemble, path: simulate._write_csv(ensemble, path, 3)],
-        ids=["csv", "klx1", "csv-3-parts"])
-    def test_writers_refuse_a_fifo(self, tmp_path, monkeypatch, write):
+    @pytest.mark.parametrize("write", [write_ensemble_csv, write_ensemble_klx1],
+                             ids=["csv", "klx1"])
+    def test_writers_refuse_a_fifo(self, tmp_path, write):
         target = tmp_path / "fifo"
         os.mkfifo(target)
         ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
-
-        def refuse():
-            raise AssertionError("CSV writer forked for a non-regular target")
-
-        monkeypatch.setattr(os, "fork", refuse)
         with pytest.raises(OSError, match="not a regular file"):
             write(ensemble, str(target))
         assert stat.S_ISFIFO(os.stat(target).st_mode)
         assert os.listdir(tmp_path) == ["fifo"]
-        assert_no_child_left()
 
-    @pytest.mark.parametrize(
-        "write", [write_ensemble_csv, write_ensemble_klx1,
-                  lambda ensemble, path: simulate._write_csv(ensemble, path, 3)],
-        ids=["csv", "klx1", "csv-3-parts"])
+    @pytest.mark.parametrize("write", [write_ensemble_csv, write_ensemble_klx1],
+                             ids=["csv", "klx1"])
     def test_writers_refuse_an_empty_path(self, tmp_path, monkeypatch, write):
         ensemble = sample_paths(config(n_paths=300, grid=np.linspace(0.0, 1.0, 4)))
-
-        def refuse():
-            raise AssertionError("CSV writer forked for an empty path")
-
-        monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(OSError, match="names no file"):
             write(ensemble, "")
