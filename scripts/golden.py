@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Golden output digests: the sha256 of stdout and of every written file for
-a fixed list of ``klx`` commands and study-script runs, kept in
-``tests/golden.json`` together with the fingerprint of the host that made them.
+a fixed list of ``klx`` commands, kept in ``tests/golden.json`` together with
+the fingerprint of the host that made them.
 
 Usage:
     python3 scripts/golden.py           # compare with tests/golden.json; exit 1 on a difference
@@ -19,7 +19,6 @@ import io
 import json
 import pathlib
 import platform
-import runpy
 import sys
 import tempfile
 
@@ -73,11 +72,6 @@ COMMANDS = {
        for proof in ("all", "1", "2", "3")},
 }
 
-#: Name -> (study script, its arguments); every file it writes is digested.
-STUDIES = {
-    "oracle_refinement": ("scripts/oracle_refinement.py", ("--nodes", "64,128", "--eigs", "3")),
-}
-
 REGENERATE = "python3 scripts/golden.py --write"
 
 
@@ -107,27 +101,13 @@ def _run_command(argv, work: pathlib.Path) -> dict:
     return {"exit": code, "stdout": _sha256(stdout.getvalue().encode()), "files": _files(work)}
 
 
-def _run_study(script: str, args, work: pathlib.Path) -> dict:
-    saved = sys.argv
-    sys.argv = [script, *args, "--out-dir", str(work)]
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            runpy.run_path(str(ROOT / script), run_name="__main__")
-    finally:
-        sys.argv = saved
-    return {"files": _files(work)}
-
-
 def digests(names=None) -> dict:
-    """Name -> digests of each listed run (all of them by default), each in a
-    fresh temporary directory."""
-    runs = {name: (_run_command, argv) for name, argv in COMMANDS.items()}
-    runs.update({name: (_run_study, *spec) for name, spec in STUDIES.items()})
+    """Name -> digests of each listed command (all of them by default), each
+    run in a fresh temporary directory."""
     found = {}
-    for name in runs if names is None else names:
-        run, *spec = runs[name]
+    for name in COMMANDS if names is None else names:
         with tempfile.TemporaryDirectory() as tmp:
-            found[name] = run(*spec, pathlib.Path(tmp))
+            found[name] = _run_command(COMMANDS[name], pathlib.Path(tmp))
     return found
 
 

@@ -34,8 +34,9 @@ from .simulate import (
 _FORMATS = ("pretty", "csv", "json")
 
 #: Most rows ``klx eigen`` tabulates.  The text is built whole: 10^6 detrended
-#: rows take 4-5 s and 270 MB as csv, 4-5 s and 420 MB as json, 6-7 s and
-#: 320 MB as pretty, so the 10^7 level cap of the sums would allow some 4 GB.
+#: rows take 2.5 s and 253 MB as csv, 2.6 s and 371 MB as json, 3.4 s and
+#: 267 MB as pretty (medians of 7 alternating runs' wall time and peak RSS, on a
+#: 2-vCPU host), so the 10^7 level cap of the sums would allow some 4 GB.
 _MAX_EIGEN_ROWS = 10**6
 
 #: What a subcommand returns to main, the one writer of stdout: its table, its json

@@ -24,11 +24,22 @@ import numpy as np
 _BLOCK_VALUES = 2**14
 
 
+def _column(c: Sequence) -> Sequence:
+    """c as a float64 array if numpy reads it as floating, else as it is.  Only
+    a column led by a number, not a bool, is read: labels and a range stay
+    unread."""
+    first = c[0] if len(c) and not isinstance(c, range) else None
+    if isinstance(first, bool) or not isinstance(first, (int, float, np.number)):
+        return c
+    a = np.asarray(c)
+    return a.astype(np.float64, copy=False) if a.dtype.kind == "f" else c
+
+
 @dataclass(frozen=True)
 class Table:
     """Named columns of equal length.  A float column is a float64 array (a
-    sequence whose first item is a float is converted to one); a label or
-    integer column is a sequence of str or int."""
+    sequence of numbers that numpy reads as floating is converted to one); a
+    label or integer column is a sequence of str or int."""
 
     names: tuple[str, ...]
     columns: tuple[Sequence, ...]
@@ -36,9 +47,7 @@ class Table:
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.names) or len({len(c) for c in self.columns}) != 1:
             raise ValueError("a table needs one column per name, all of one length")
-        object.__setattr__(self, "columns", tuple(
-            np.asarray(c, dtype=np.float64) if len(c) and isinstance(c[0], (float, np.floating))
-            else c for c in self.columns))
+        object.__setattr__(self, "columns", tuple(map(_column, self.columns)))
 
 
 # The %.17g writer.  A value x with |x| in [1e-4, 1e6), or +-0, prints in
@@ -267,36 +276,26 @@ def _json_fields(names: Sequence[str]) -> str:
     return ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in names)
 
 
-def to_csv_text(table: Table) -> str:
-    template = ",".join(["%s"] * len(table.names))
-    return "\n".join([",".join(table.names), *_blocks(table, template, "\n", False), ""])
-
-
-def to_json_text(table: Table, extra: dict | None = None) -> str:
-    """One JSON object with a "rows" array, then the keys of extra if any."""
-    rows = ", ".join(_blocks(table, "{" + _json_fields(table.names) + "}", ", ", True))
-    fields = ""
-    if extra:
-        values = Table(tuple(extra), tuple([value] for value in extra.values()))
-        fields = ", " + next(_blocks(values, _json_fields(values.names), "", True))
-    return "".join(['{"rows": [', rows, "]", fields, "}\n"])
-
-
-def to_pretty_text(table: Table) -> str:
-    """A header, a rule and the rows, each column padded to its widest cell."""
-    starts = range(0, len(table.columns[0]), _BLOCK_VALUES)
-    widths = [max([len(name), *(_width(column[i:i + _BLOCK_VALUES]) for i in starts)])
-              for name, column in zip(table.names, table.columns)]
-    template = "  ".join(f"%-{width}s" for width in widths)
-    rule = "  ".join("-" * width for width in widths)
-    return "\n".join([template % table.names, rule, *_blocks(table, template, "\n", False), ""])
-
-
 def render(table: Table, fmt: str, extra: dict | None = None) -> str:
+    """The table as text.  csv: a header and the rows.  json: one object with
+    a "rows" array, then the keys of extra if any.  pretty: a header, a rule
+    and the rows, each column padded to its widest cell.  Only json prints
+    extra."""
     if fmt == "csv":
-        return to_csv_text(table)
+        template = ",".join(["%s"] * len(table.names))
+        return "\n".join([",".join(table.names), *_blocks(table, template, "\n", False), ""])
     if fmt == "json":
-        return to_json_text(table, extra)
+        rows = ", ".join(_blocks(table, "{" + _json_fields(table.names) + "}", ", ", True))
+        fields = ""
+        if extra:
+            values = Table(tuple(extra), tuple([value] for value in extra.values()))
+            fields = ", " + next(_blocks(values, _json_fields(values.names), "", True))
+        return "".join(['{"rows": [', rows, "]", fields, "}\n"])
     if fmt == "pretty":
-        return to_pretty_text(table)
+        starts = range(0, len(table.columns[0]), _BLOCK_VALUES)
+        widths = [max([len(name), *(_width(column[i:i + _BLOCK_VALUES]) for i in starts)])
+                  for name, column in zip(table.names, table.columns)]
+        template = "  ".join(f"%-{width}s" for width in widths)
+        rule = "  ".join("-" * width for width in widths)
+        return "\n".join([template % table.names, rule, *_blocks(table, template, "\n", False), ""])
     raise ValueError(f"unknown output format: {fmt!r}")

@@ -563,6 +563,12 @@ def test_import_does_not_load_scipy():
     assert loaded_by_import("scipy") == "[]"
 
 
+def test_import_does_not_load_numpy_random():
+    # numpy.random adds about 6 MB of RSS and 13 ms to start-up; the simulation
+    # and the Nystrom start block load it when they run, not at import.
+    assert "'numpy.random" not in loaded_by_import("numpy")
+
+
 def test_import_does_not_load_process_pools():
     # The CSV writer runs in the calling process; nothing needs pool machinery.
     assert loaded_by_import("multiprocessing", "concurrent") == "[]"

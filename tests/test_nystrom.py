@@ -122,7 +122,7 @@ class TestTopEigenpairSolver:
         assert solution.eigenvectors.tobytes() == vectors.tobytes()
 
     @pytest.mark.parametrize(("n_nodes", "n_eigs", "side"), [
-        # The golden configs and study script's ladder, and the oracle workload
+        # The golden configs, the oracle workload, and requests on each side of the choice
         (100, 5, "dense"), (300, 20, "dense"), (128, 3, "dense"), (4096, 400, "dense"),
         (500, 3, "iterated"), (2000, 5, "iterated"), (4096, 150, "iterated"),
     ])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klx import reports
-from klx.reports import Table, render, to_csv_text, to_json_text, to_pretty_text
+from klx.reports import Table, render
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def table():
 
 
 def test_csv_round_trips_doubles(table):
-    text = to_csv_text(table)
+    text = render(table, "csv")
     lines = text.strip().splitlines()
     assert lines[0] == "name,n,value"
     assert float(lines[1].split(",")[2]) == 1.0 / 3.0
@@ -32,12 +32,12 @@ def test_csv_round_trips_doubles(table):
 
 
 def test_csv_uses_17_significant_digits(table):
-    text = to_csv_text(table)
+    text = render(table, "csv")
     assert "0.33333333333333331" in text
 
 
 def test_json_is_valid_and_round_trips(table):
-    text = to_json_text(table, extra={"passed": True})
+    text = render(table, "json", extra={"passed": True})
     doc = json.loads(text)
     assert doc["passed"] is True
     assert doc["rows"][0] == {"name": "alpha", "n": 3, "value": 1.0 / 3.0}
@@ -45,15 +45,15 @@ def test_json_is_valid_and_round_trips(table):
 
 
 def test_pretty_renders_all_rows(table):
-    text = to_pretty_text(table)
+    text = render(table, "pretty")
     lines = text.splitlines()
     assert lines[0].split() == ["name", "n", "value"]
     assert len(lines) == 4
 
 
 def test_render_dispatch(table):
-    assert render(table, "csv") == to_csv_text(table)
-    assert render(table, "pretty") == to_pretty_text(table)
+    assert render(table, "csv").startswith("name,n,value\n")
+    assert render(table, "pretty").splitlines()[1] == "-----  --  -------------------"
     with pytest.raises(ValueError):
         render(table, "yaml")
 
@@ -63,12 +63,12 @@ SPECIAL = Table(("label", "x"), (["a", "b", "c", "d", "e"],
 
 
 def test_non_finite_floats_are_null_in_json_only():
-    assert to_csv_text(SPECIAL) == "label,x\na,nan\nb,inf\nc,-inf\nd,-0\ne,1000000\n"
-    assert json.loads(to_json_text(SPECIAL))["rows"] == [
+    assert render(SPECIAL, "csv") == "label,x\na,nan\nb,inf\nc,-inf\nd,-0\ne,1000000\n"
+    assert json.loads(render(SPECIAL, "json"))["rows"] == [
         {"label": "a", "x": None}, {"label": "b", "x": None}, {"label": "c", "x": None},
         {"label": "d", "x": -0.0}, {"label": "e", "x": 1e6}]
-    assert to_json_text(SPECIAL).count("null") == 3
-    assert to_pretty_text(SPECIAL).splitlines() == [
+    assert render(SPECIAL, "json").count("null") == 3
+    assert render(SPECIAL, "pretty").splitlines() == [
         "label  x      ", "-----  -------", "a      nan    ", "b      inf    ",
         "c      -inf   ", "d      -0     ", "e      1000000"]
 
@@ -77,36 +77,44 @@ def test_fallback_edge_and_negative_zero_match_per_value_format():
     # 1e6 is the first value past the fast window; its neighbours sit on both sides.
     x = np.array([-0.0, 0.0, np.nextafter(1e6, 0.0), 1e6, np.nextafter(1e6, 2e6), 1e-4,
                   np.nextafter(1e-4, 0.0)])
-    text = to_csv_text(Table(("x",), (x,)))
+    text = render(Table(("x",), (x,)), "csv")
     assert text == "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist())
     assert text.splitlines()[1:5] == ["-0", "0", "999999.99999999988", "1000000"]
 
 
 def test_labels_are_json_quoted():
     label = 'say "hi" \\ bye'
-    text = to_json_text(Table(("label", "j"), ([label], [1])))
+    text = render(Table(("label", "j"), ([label], [1])), "json")
     assert json.loads(text)["rows"] == [{"label": label, "j": 1}]
     assert '"say \\"hi\\" \\\\ bye"' in text
 
 
 def test_extra_values_go_through_the_writer():
-    text = to_json_text(Table(("j",), ([1],)), extra={"passed": False, "target": 0.1,
-                                                      "bad": math.nan, "count": 3})
+    text = render(Table(("j",), ([1],)), "json", extra={"passed": False, "target": 0.1,
+                                                        "bad": math.nan, "count": 3})
     assert text == ('{"rows": [{"j": 1}], "passed": false, "target": 0.10000000000000001, '
                     '"bad": null, "count": 3}\n')
 
 
 def test_zero_row_table():
     empty = Table(("s", "truncated_target"), ([], []))
-    assert to_csv_text(empty) == "s,truncated_target\n"
-    assert to_json_text(empty, extra={"skipped": True}) == '{"rows": [], "skipped": true}\n'
-    assert to_pretty_text(empty) == "s  truncated_target\n-  ----------------\n"
+    assert render(empty, "csv") == "s,truncated_target\n"
+    assert render(empty, "json", extra={"skipped": True}) == '{"rows": [], "skipped": true}\n'
+    assert render(empty, "pretty") == "s  truncated_target\n-  ----------------\n"
 
 
 def test_a_sequence_of_floats_becomes_a_float_column():
     table = Table(("x", "n"), ([0.1, 2.0], (1, 2)))
     assert table.columns[0].dtype == np.float64
-    assert to_csv_text(table) == "x,n\n0.10000000000000001,1\n2,2\n"
+    assert render(table, "csv") == "x,n\n0.10000000000000001,1\n2,2\n"
+
+
+def test_a_list_numpy_reads_as_floating_is_a_float_column_whatever_its_first_item():
+    assert render(Table(("x",), ([1, 0.1],)), "csv") == "x\n1\n0.10000000000000001\n"
+    assert render(Table(("x",), ([1, math.nan],)), "json") == '{"rows": [{"x": 1}, {"x": null}]}\n'
+    # Ints stay ints, and a column led by a bool (an int too) stays a flag column.
+    assert render(Table(("n", "ok"), ([1, 2], [True, 0.5])), "json") == (
+        '{"rows": [{"n": 1, "ok": true}, {"n": 2, "ok": 0.5}]}\n')
 
 
 def test_columns_must_match_the_names():
@@ -152,7 +160,7 @@ def test_pretty_formats_each_float_once(monkeypatch):
     monkeypatch.setattr(reports, "_g17_words", counting_words)
     n = reports._BLOCK_VALUES + 5
     x, y = np.linspace(-1.0, 1.0, n), np.geomspace(1e-9, 1e9, n)
-    to_pretty_text(Table(("j", "x", "y"), (range(n), x, y)))
+    render(Table(("j", "x", "y"), (range(n), x, y)), "pretty")
     assert sum(formatted) == 2 * n
     assert sorted(templated) == [5, 5, reports._BLOCK_VALUES, reports._BLOCK_VALUES]
 

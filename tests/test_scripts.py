@@ -1,8 +1,8 @@
-"""Smoke tests of the study scripts and the benchmark tracer, each run as its
-own process, and of README's library example; static checks that package
-modules, scripts and tests use what they import, that package modules read
-every private name they bind, that the package exports exactly what it
-imports, and that only the CLI's ``main`` writes a command's output."""
+"""A smoke test of the benchmark tracer, run as its own process, and of
+README's library example; static checks that package modules, scripts and
+tests use what they import, that package modules read every private name
+they bind, that the package exports exactly what it imports, and that only
+the CLI's ``main`` writes a command's output."""
 
 import ast
 import csv
@@ -104,14 +104,6 @@ def finish_path_breaches(source):
 def csv_row_count(path):
     with open(path, newline="") as handle:
         return sum(1 for _ in csv.DictReader(handle))
-
-
-def test_oracle_refinement(tmp_path):
-    result = run_script("scripts/oracle_refinement.py", "--nodes", "64,128", "--eigs", "3",
-                        "--out-dir", str(tmp_path))
-    assert result.returncode == 0, result.stderr
-    # four kinds x two node counts x three modes
-    assert csv_row_count(tmp_path / "oracle_refinement.csv") == 24
 
 
 def test_benchmark_tracer_installs(tmp_path):
