@@ -94,20 +94,24 @@ def _files(directory: pathlib.Path) -> dict:
     return {path.name: _sha256(path.read_bytes()) for path in sorted(directory.iterdir())}
 
 
-def _run_command(argv, work: pathlib.Path) -> dict:
+def _run_command(argv, work: pathlib.Path) -> tuple[dict, str]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = klx_main([arg.replace("{out}", str(work)) for arg in argv])
-    return {"exit": code, "stdout": _sha256(stdout.getvalue().encode()), "files": _files(work)}
+    text = stdout.getvalue()
+    return {"exit": code, "stdout": _sha256(text.encode()), "files": _files(work)}, text
 
 
-def digests(names=None) -> dict:
+def digests(names=None, stdouts=None) -> dict:
     """Name -> digests of each listed command (all of them by default), each
-    run in a fresh temporary directory."""
+    run in a fresh temporary directory.  A stdouts dict also gets each
+    command's standard output, by name."""
     found = {}
     for name in COMMANDS if names is None else names:
         with tempfile.TemporaryDirectory() as tmp:
-            found[name] = _run_command(COMMANDS[name], pathlib.Path(tmp))
+            found[name], text = _run_command(COMMANDS[name], pathlib.Path(tmp))
+        if stdouts is not None:
+            stdouts[name] = text
     return found
 
 

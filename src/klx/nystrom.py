@@ -10,18 +10,21 @@ Only the top k eigenpairs are wanted, so the solver depends on (n, k) alone.
 When the block p = 2k + 8 is at most 1/10 of the n nodes, block subspace
 iteration with Rayleigh-Ritz (Rutishauser 1970; Saad, Numerical Methods for
 Large Eigenvalue Problems, 2011, ch. 5) stops once every kept Ritz pair has a
-residual at rounding level.  Each step applies the operator to the n x p block
-matrix-free, in O(n p) (``kernels._kernel_apply``), so this side never forms
-the Gram matrix.  Otherwise one dense eigh of the whole Gram matrix is
-cheaper: that is Rayleigh-Ritz on the whole space, exact in one step.  With
-BLAS on one thread (see ``klx/__init__.py``), on a 2-vCPU x86 host with
-OpenBLAS, detrended kernel, iteration stays ahead down to about n/p = 9 at
-128-1000 nodes and about 7 at 2000 and 4096 nodes (medians of 5-30 runs up to
-1000 nodes, best of 1-2 above): at 1000 nodes dense eigh took 0.23 s against
-0.20 s iterated at n/p = 10 and 0.27 s at 8; at 4096 nodes 14.4 s against
-10.6 s at n/p = 10 and 21.5 s at 6.  The 1/10 share follows the smaller sizes,
-and it keeps the golden configs on the side that made their bytes (128 nodes,
-3 eigenpairs stays dense).
+residual at rounding level.  It starts from the Chebyshev polynomials
+T_0..T_{p-1} at the nodes, which depend on no kernel and no random stream.
+Each step applies the operator to the n x p block matrix-free, in O(n p)
+(``kernels._kernel_apply``), so this side never forms the Gram matrix.
+Otherwise one dense eigh of the whole Gram matrix is cheaper: that is
+Rayleigh-Ritz on the whole space, exact in one step.  With BLAS on one thread
+(see ``klx/__init__.py``), on a 2-vCPU x86 host with OpenBLAS, detrended
+kernel, iteration stays ahead down to about n/p = 10 at 400 nodes, 6 at 1000
+and 3 at 2000 (medians of 5-9 runs alternating the sides): at 1000 nodes
+dense eigh took 0.10 s against 0.08 s iterated at n/p = 10 and 0.14 s at 4;
+at 4096 nodes iteration took 0.9 s at n/p = 10, 1.8 s at 6 and 3.7 s at 4
+(medians of 3), where the dense eigh, which the start does not touch, took
+14.4 s when last measured.  The 1/10 share follows the smaller sizes, and it
+keeps the golden configs on the side that made their bytes (128 nodes, 3
+eigenpairs stays dense).
 
 The kink of min(s, t) along the diagonal limits the quadrature to algebraic
 convergence, which is plenty for a validation oracle: relative eigenvalue
@@ -44,17 +47,17 @@ from .series import _require_count
 EIGENVALUE_RTOL = 1e-3
 
 _MIN_NODES = 16
-# One doubling above the 2000-node ladder of the acceptance suite and the
-# refinement script.  The iterated side needs only O(n p) memory, but requests
-# with many modes take the whole-space eigh of the dense n x n Gram (n^2
-# memory, n^3 time) and the Gauss-Legendre rule itself costs O(n^2) time, so
-# larger requests are refused before the rule is even computed.
+# One doubling above the 2000-node ladder of the acceptance suite and of
+# README's oracle experiments.  The iterated side needs only O(n p) memory,
+# but requests with many modes take the whole-space eigh of the dense n x n
+# Gram (n^2 memory, n^3 time) and the Gauss-Legendre rule itself costs O(n^2)
+# time, so larger requests are refused before the rule is even computed.
 _MAX_NODES = 4096
 
 # Subspace iteration.  The residual tolerance, relative to the top Ritz value,
 # sits about ten times above the residual of a dense eigh at 4096 nodes; the
-# kernels here converge in 10-20 steps, so the cap only stops a solve gone
-# wrong.
+# kernels here converge in 3-12 steps from the Chebyshev start block, so the
+# cap only stops a solve gone wrong.
 _GUARD_COLUMNS = 8
 _ITERATION_SHARE = 10
 _RESIDUAL_RTOL = 1e-14
@@ -90,8 +93,8 @@ def _top_eigenpairs(
         spectrum, vectors = np.linalg.eigh(gram(kind, nodes).entries * np.outer(sqrt_w, sqrt_w))
         return spectrum[::-1][:k], vectors[:, ::-1][:, :k]
     scale = sqrt_w[:, None]
-    start = np.random.Generator(np.random.Philox(key=0)).standard_normal((n, p))
-    q, _ = np.linalg.qr(start)
+    # The Chebyshev basis T_0..T_{p-1} at the nodes, the same for every kind.
+    q, _ = np.linalg.qr(np.cos(np.outer(np.arccos(2.0 * nodes - 1.0), np.arange(p))))
     for _ in range(_MAX_ITERATIONS):
         aq = scale * _kernel_apply(kind, nodes, scale * q)
         theta, w = np.linalg.eigh(q.T @ aq)

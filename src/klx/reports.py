@@ -259,8 +259,9 @@ def _cells(column: Sequence, start: int, as_json: bool) -> list[str]:
             for i in np.flatnonzero(~np.isfinite(block)).tolist():
                 cells[i] = "null"
         return cells
-    if as_json and isinstance(block[0], (str, bool)):
-        quoted = {v: json.dumps(v) for v in set(block)}
+    if as_json and isinstance(block[0], (str, bool, np.bool_)):
+        # json.dumps raises on a numpy bool, so those go through bool.
+        quoted = {v: json.dumps(bool(v) if isinstance(v, np.bool_) else v) for v in set(block)}
         return [quoted[v] for v in block]
     return list(map(str, block))
 

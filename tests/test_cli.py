@@ -565,8 +565,21 @@ def test_import_does_not_load_scipy():
 
 def test_import_does_not_load_numpy_random():
     # numpy.random adds about 6 MB of RSS and 13 ms to start-up; the simulation
-    # and the Nystrom start block load it when they run, not at import.
+    # loads it when it runs, not at import.
     assert "'numpy.random" not in loaded_by_import("numpy")
+
+
+def test_oracle_does_not_load_numpy_random():
+    # 500 nodes and 3 eigenpairs take the iterated side, whose start block is
+    # the Chebyshev basis at the nodes, not a random draw.
+    probe = ("import sys, klx.cli; "
+             "code = klx.cli.main(['oracle', '--kind', 'detrended', '--nodes', '500', "
+             "'--eigs', '3', '--format', 'json']); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_import_does_not_load_process_pools():

@@ -21,14 +21,36 @@ def stored():
 
 
 @pytest.fixture(scope="module")
-def found():
-    return golden.digests()
+def stdouts():
+    return {}
+
+
+@pytest.fixture(scope="module")
+def found(stdouts):
+    return golden.digests(stdouts=stdouts)
 
 
 def test_every_output_keeps_its_golden_bytes(stored, found):
     assert sorted(found) == sorted(stored["digests"])
     problems = golden.mismatches(stored, found)
     assert not problems, "\n".join(problems)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_json_command_prints_json(found, stdouts):
+    names = [name for name, argv in golden.COMMANDS.items() if argv[-2:] == ("--format", "json")]
+    assert names
+    for name in names:
+        if found[name]["exit"] == 2:
+            # A refused request writes its error to stderr and nothing here.
+            assert stdouts[name] == "", name
+        else:
+            # The json module reads NaN and Infinity unless told not to.
+            document = json.loads(stdouts[name], parse_constant=reject_constant)
+            assert isinstance(document, dict), name
 
 
 def test_a_flipped_stored_digest_fails(stored, found):

@@ -99,6 +99,32 @@ class TestTopEigenpairSolver:
         signs = np.sign(np.sum(solution.weights[:, None] * solution.eigenvectors * vectors, axis=0))
         assert np.max(np.abs(solution.eigenvectors * signs - vectors)) <= 1e-12
 
+    # 16 eigenpairs make the largest block, 40, that 400 nodes still iterate;
+    # 45 make a block of 98 on 1000 nodes.
+    @pytest.mark.parametrize(("n_nodes", "n_eigs", "max_steps"), [(400, 16, 12), (1000, 45, 8)])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_large_blocks_match_dense_eigh_to_the_residual_over_the_gap(
+            self, monkeypatch, kind, n_nodes, n_eigs, max_steps):
+        shapes = record_eigh_shapes(monkeypatch)
+        solution = nystrom_solve(kind, n_nodes, n_eigs)
+        steps = len(shapes)
+        assert set(shapes) == {(2 * n_eigs + 8,) * 2}
+        # From the Chebyshev block this stops after 7-10 Ritz steps at 400
+        # nodes and 5-7 at 1000; a normal random start took 15-17 and 16-18.
+        assert steps <= max_steps
+        mu, vectors = dense_top_eigenpairs(kind, n_nodes, n_eigs + 1)
+        assert np.max(np.abs(solution.eigenvalues - mu[:-1]) / mu[:-1]) <= 1e-13
+        # A kept pair stops with a residual below 1e-14 * mu_1, so by
+        # Davis-Kahan its unit vector is off by about that over its gap.  A
+        # fixed bound cannot hold here: with mu_j 1e-4 apart, even the dense
+        # reference moves its vectors by about 1e-12.
+        gap = np.minimum(-np.diff(mu), np.r_[np.inf, -np.diff(mu[:-1])])
+        sqrt_w = np.sqrt(solution.weights)[:, None]
+        unit, reference = solution.eigenvectors * sqrt_w, vectors[:, :-1] * sqrt_w
+        signs = np.sign(np.sum(unit * reference, axis=0))
+        error = np.linalg.norm(unit * signs - reference, axis=0)
+        assert np.all(error * gap <= 2e-14 * mu[0])
+
     def test_repeat_is_byte_identical(self):
         first = nystrom_solve(KernelKind.DETRENDED, 400, 5)
         second = nystrom_solve(KernelKind.DETRENDED, 400, 5)

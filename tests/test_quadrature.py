@@ -7,15 +7,20 @@ import pytest
 from klx.quadrature import gauss_legendre_01, integrate_01
 
 
+def mp_legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, in mpmath."""
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
 def mp_legendre_node(n, x0):
     """Node near x0 and its weight on [0, 1] by 40-digit Newton on P_n."""
     with mpmath.workdps(40):
         x = mpmath.mpf(2 * x0 - 1)
         for _ in range(6):
-            p_prev, p = mpmath.mpf(1), x
-            for k in range(1, n):
-                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-            dp = n * (x * p - p_prev) / (x * x - 1)
+            p, dp = mp_legendre(n, x)
             x -= p / dp
         return (x + 1) / 2, 1 / ((1 - x * x) * dp * dp)
 
@@ -46,6 +51,20 @@ def test_nodes_and_weights_match_mpmath_newton(n, indices):
         # absolute on [0, 1]: the map (x + 1)/2 itself rounds
         assert abs(nodes[i] - node) <= 2e-16, i
         assert abs(weights[i] / weight - 1) <= weight_rtol, i
+
+
+@pytest.mark.parametrize("n", [2000, 4096])
+def test_end_weights_match_mpmath_at_the_same_node(n):
+    # Near x = -1, dividing by x^2 - 1 cost the weights up to 1.5e-10.  The
+    # end nodes map to [0, 1] exactly, so the 40-digit weight formula is
+    # evaluated at the very x the rule used, with no Newton step.
+    nodes, weights = gauss_legendre_01(n)
+    for i in range(4):
+        with mpmath.workdps(40):
+            x = 2 * mpmath.mpf(nodes[i]) - 1
+            _, dp = mp_legendre(n, x)
+            weight = 1 / ((1 - x * x) * dp * dp)
+        assert abs(weights[i] / weight - 1) <= 2e-11, i
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 101, 2000])

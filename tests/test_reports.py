@@ -96,6 +96,14 @@ def test_extra_values_go_through_the_writer():
                     '"bad": null, "count": 3}\n')
 
 
+def test_numpy_bools_are_json_true_and_false():
+    text = render(Table(("j",), ([1],)), "json", extra={"passed": np.True_})
+    assert text == '{"rows": [{"j": 1}], "passed": true}\n'
+    text = render(Table(("ok",), (np.array([True, False]),)), "json")
+    assert text == '{"rows": [{"ok": true}, {"ok": false}]}\n'
+    assert json.loads(text)["rows"] == [{"ok": True}, {"ok": False}]
+
+
 def test_zero_row_table():
     empty = Table(("s", "truncated_target"), ([], []))
     assert render(empty, "csv") == "s,truncated_target\n"
