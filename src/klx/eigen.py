@@ -22,7 +22,9 @@ detrended terms identically, so route 3 may take the odd indices alone).
 
 ``eigenvalues`` and ``eigenfunction_matrix`` take an index ``step``: indices
 1, 1 + step, 1 + 2 step, ...  An even step holds odd indices only, so the
-detrended kind then solves no Bessel root.
+detrended kind then solves no Bessel root.  A keyword ``first`` starts the rows
+at entry ``first`` of that sequence, so a block of rows is computed alone, bit
+for bit equal to the same rows of the whole range.
 """
 
 from __future__ import annotations
@@ -43,13 +45,22 @@ _NEWTON_STEPS = 3
 
 def _sinpi(x: np.ndarray) -> np.ndarray:
     """sin(pi * x) with exact reduction: exactly 0 at integers, +-1 at
-    half-integers."""
+    half-integers.
+
+    With n = round(x), the result is sin(pi (x - n)), negated where n is odd:
+    n != 2 floor(n / 2), each step exact for an integer-valued float.  The
+    halving, flooring and doubling use the result's buffer before x - n goes
+    there, so the call holds two arrays the size of x and one boolean mask.
+    """
     n = np.round(x)
-    s = x - n
+    s = np.multiply(n, 0.5)
+    np.floor(s, out=s)
+    s += s
+    odd = n != s
+    np.subtract(x, n, out=s)
     s *= np.pi
     np.sin(s, out=s)
-    np.remainder(n, 2.0, out=n)
-    np.negative(s, out=s, where=n != 0.0)
+    np.negative(s, out=s, where=odd)
     return s
 
 
@@ -64,14 +75,17 @@ _SPECTRA = {
 }
 
 
-def _solve_roots(n_max: int) -> np.ndarray:
-    """Roots 1..n_max of g(z) = sin z - z cos z by Newton's method.
+def _solve_roots(numbers: range) -> np.ndarray:
+    """Roots z_n of g(z) = sin z - z cos z for the root numbers n >= 1 in
+    ``numbers``, by Newton's method.
 
     Root n lies in (n pi, (n + 1/2) pi), just below q = (n + 1/2) pi, where
     the asymptotic expansion gives z_n = q - 1/q + O(q^-3).  Newton on g with
     g'(z) = z sin z, started there, converges to every root in three steps.
+    Each root is computed from its own start alone, so a range of roots is bit
+    for bit equal to the same roots solved among others.
     """
-    q = (np.arange(1, n_max + 1, dtype=float) + 0.5) * PI
+    q = (np.arange(numbers.start, numbers.stop, dtype=float) + 0.5) * PI
     z = q - 1.0 / q
     for _ in range(_NEWTON_STEPS):
         z -= (np.sin(z) - z * np.cos(z)) / (z * np.sin(z))
@@ -82,55 +96,70 @@ _roots_cache = np.empty(0)
 
 
 def bessel_roots(n_max: int) -> np.ndarray:
-    """First n_max roots as a read-only array (cached, grown on demand)."""
+    """First n_max roots as a read-only array (cached; growing the cache solves
+    only the roots it lacks)."""
     global _roots_cache
     _require_count(n_max, "n_max")
     if n_max > _roots_cache.size:
-        roots = _solve_roots(n_max)
+        lacking = _solve_roots(range(_roots_cache.size + 1, n_max + 1))
+        roots = np.concatenate([_roots_cache, lacking])
         roots.setflags(write=False)
         _roots_cache = roots
     return _roots_cache[:n_max]
 
 
-def _indices(j_max: int, step: int, every: int = 1) -> np.ndarray:
-    """Every every-th of the indices 1, 1 + step, ... (j_max of them), as floats."""
-    return np.arange(1, step * j_max + 1, step * every, dtype=float)
+def _indices(start: int, count: int, stride: int) -> np.ndarray:
+    """The indices start, start + stride, ... (count of them), as floats."""
+    return np.arange(start, start + stride * count, stride, dtype=float)
 
 
-def _rows(kind: KernelKind, j_max: int, step: int, closed, from_roots, shape=()) -> np.ndarray:
-    """closed(every) builds rows from _indices(j_max, step, every) itself, so that array goes
-    after first use; an odd step's even detrended rows j = 2n are from_roots(first n, z_n)."""
+def _rows(kind: KernelKind, j_max: int, step: int, first: int, closed, from_roots,
+          shape=()) -> np.ndarray:
+    """Rows first, first + 1, ... (j_max of them) of the indices 1, 1 + step, ...
+
+    closed(start, count, stride) builds rows from _indices(start, count, stride) itself, so
+    that array goes after first use; an odd step's even detrended rows j = 2n are
+    from_roots(first n, z_n), the n a step apart.
+    """
     _require_count(j_max, "eigenpair index")
     _require_count(step, "step")
-    if kind is not KernelKind.DETRENDED or step % 2 == 0 or j_max < 2:
-        return closed(1)
-    first = (step + 1) // 2
+    if first < 0:
+        raise ValueError(f"first must be >= 0, got {first}")
+    # Row r holds index 1 + step (first + r); with an odd step it is even where first + r is odd.
+    lead = first % 2
+    n_even = (j_max + lead) // 2 if kind is KernelKind.DETRENDED and step % 2 else 0
+    if not n_even:
+        return closed(1 + step * first, j_max, step)
+    n_first = (1 + step * (first + 1 - lead)) // 2
     # Roots first: solved after the half-size rows, they raise the J-cap peak by 70 MB.  No n
     # array here: eigenvalues needs none, and holding one added 24 MB to that peak.
-    z = bessel_roots(first + step * (j_max // 2 - 1))[first - 1::step]
+    z = bessel_roots(n_first + step * (n_even - 1))[n_first - 1::step]
     out = np.empty((j_max, *shape))
-    out[::2] = closed(2)
-    out[1::2] = from_roots(first, z)
+    out[lead::2] = closed(1 + step * (first + lead), j_max - n_even, 2 * step)
+    out[1 - lead::2] = from_roots(n_first, z)
     return out
 
 
-def eigenvalues(kind: KernelKind, j_max: int, step: int = 1) -> np.ndarray:
-    """Eigenvalues for indices 1, 1 + step, ... (j_max of them), strictly increasing."""
+def eigenvalues(kind: KernelKind, j_max: int, step: int = 1, *, first: int = 0) -> np.ndarray:
+    """Eigenvalues for indices 1, 1 + step, ... (j_max of them from entry ``first``
+    of that sequence on), strictly increasing."""
     offset, _ = _SPECTRA[kind]
-    return _rows(kind, j_max, step,
-                 lambda every: (_indices(j_max, step, every) + offset) ** 2 * PI_SQUARED,
-                 lambda first, z: 4.0 * z ** 2)
+    return _rows(kind, j_max, step, first,
+                 lambda start, count, stride: (_indices(start, count, stride) + offset) ** 2
+                 * PI_SQUARED,
+                 lambda n_first, z: 4.0 * z ** 2)
 
 
 def eigenvalue(kind: KernelKind, j: int) -> float:
     """Eigenvalue of index j >= 1."""
     _require_count(j, "eigenpair index")
-    return float(eigenvalues(kind, j)[j - 1])
+    return float(eigenvalues(kind, 1, first=j - 1)[0])
 
 
-def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1) -> np.ndarray:
-    """Eigenfunctions of indices 1, 1 + step, ... (j_max of them) sampled on t,
-    shape (j_max, len(t)).
+def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1, *,
+                         first: int = 0) -> np.ndarray:
+    """Eigenfunctions of indices 1, 1 + step, ... (j_max of them from entry ``first``
+    of that sequence on) sampled on t, shape (j_max, len(t)).
 
     ``t`` is assumed to lie in [0, 1]; validation happens in the scalar
     entry point and in grid constructors.
@@ -138,25 +167,25 @@ def eigenfunction_matrix(kind: KernelKind, j_max: int, t, step: int = 1) -> np.n
     t = np.atleast_1d(np.asarray(t, dtype=float))
     offset, phase = _SPECTRA[kind]
 
-    def closed(every: int) -> np.ndarray:
+    def closed(start: int, count: int, stride: int) -> np.ndarray:
         # Rebinding out frees _sinpi's argument.
-        out = (_indices(j_max, step, every)[:, None] + offset) * t
+        out = (_indices(start, count, stride)[:, None] + offset) * t
         out += phase
         out = _sinpi(out)
         out *= SQRT2
         return out
 
-    def from_roots(first: int, z: np.ndarray) -> np.ndarray:
-        n = np.arange(first, first + step * z.size, step)
+    def from_roots(n_first: int, z: np.ndarray) -> np.ndarray:
+        n = np.arange(n_first, n_first + step * z.size, step)
         sign, z = np.where(n % 2 == 1, 1.0, -1.0)[:, None], z[:, None]
         return sign * (SQRT2 / np.abs(np.sin(z))) * np.sin(2.0 * z * (t - 0.5))
 
-    return _rows(kind, j_max, step, closed, from_roots, t.shape)
+    return _rows(kind, j_max, step, first, closed, from_roots, t.shape)
 
 
 def eigenfunction(kind: KernelKind, j: int, t: float) -> float:
     """Eigenfunction f_j evaluated at a single t in [0, 1]."""
     _require_count(j, "eigenpair index")
     t = _check_unit(t, "t")
-    return float(eigenfunction_matrix(kind, j, np.array([t]))[j - 1, 0])
+    return float(eigenfunction_matrix(kind, 1, np.array([t]), first=j - 1)[0, 0])
 

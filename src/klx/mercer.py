@@ -28,7 +28,7 @@ import numpy as np
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _kahan, _power_terms, _require_count, _table
+from .series import _filled, _kahan, _power_terms, _require_count, _table
 
 ZETA2 = PI_SQUARED / 6.0
 
@@ -58,11 +58,16 @@ def _check_proof(proof: int) -> None:
 
 def mercer_terms(kind: KernelKind, t: float, j_max: int, step: int = 1):
     """The Mercer terms f_j(t)^2 / lambda_j of indices 1, 1 + step, ... (j_max
-    of them) as an array."""
+    of them) as an array, filled block by block (``series._filled``)."""
     _require_count(j_max, "j_max")
     t = _check_unit(t, "t")
-    f = eigenfunction_matrix(kind, j_max, t, step)[:, 0]
-    return f * f / eigenvalues(kind, j_max, step)
+
+    def fill(block: np.ndarray, first: int) -> None:
+        f = eigenfunction_matrix(kind, block.size, t, step, first=first)[:, 0]
+        np.multiply(f, f, out=block)
+        block /= eigenvalues(kind, block.size, step, first=first)
+
+    return _filled(j_max, fill)
 
 
 def truncated_covariance(kind: KernelKind, s, t, j_max: int):

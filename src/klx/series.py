@@ -24,11 +24,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 #: Largest level a partial sum or ``mercer.proof_report`` accepts.  Peak RSS at
-#: 1e7 (child ``getrusage``): 108 MB for a zeta, odd-square or Leibniz sum, a
-#: zeta table and ``proof_report`` route 1 (one 80 MB terms array, built in
-#: place), 184 MB for a triangular sum or table (one int64 temporary), 346 MB
-#: for ``proof_report`` routes 2 and 3 (the eigenfunctions).
+#: 1e7 (``klx series`` and ``klx verify``, child ``getrusage``): 105-106 MB for
+#: every series, sum or table, and for each ``proof_report`` route: one 80 MB
+#: terms array, built in place or, for the triangular terms and routes 2 and 3,
+#: by ``_filled``.
 _MAX_TERMS = 10**7
+#: Terms per block of ``_filled``: 2**14 float64 temporaries are 128 KiB each.
+_BLOCK = 2**14
 
 
 def _kahan(terms: np.ndarray) -> float:
@@ -60,11 +62,25 @@ def _power_terms(s: float, count: int, step: int = 1) -> np.ndarray:
     return np.float_power(terms, -s, out=terms)
 
 
+def _filled(count: int, fill: Callable[[np.ndarray, int], None]) -> np.ndarray:
+    """A float64 array of count terms, filled one block of ``_BLOCK`` at a time:
+    ``fill(block, first)`` writes terms first, first + 1, ... into the view ``block``,
+    so a build holds its terms and one block's temporaries.  Blocks run last to first,
+    so a detrended odd step grows the Bessel root cache once, at its first block."""
+    terms = np.empty(count)
+    for first in reversed(range(0, count, _BLOCK)):
+        fill(terms[first:first + _BLOCK], first)
+    return terms
+
+
 def _triangular_terms(count: int) -> np.ndarray:
     """2/(k(k+1)) for k = 1..count; the products are exact in int64."""
-    products = np.arange(1, count + 1, dtype=np.int64)
-    products *= products + 1
-    return np.divide(2.0, products, out=products.view(float))
+    def fill(block: np.ndarray, first: int) -> None:
+        products = np.arange(first + 1, first + block.size + 1, dtype=np.int64)
+        products *= products + 1
+        np.divide(2.0, products, out=block)
+
+    return _filled(count, fill)
 
 
 def _leibniz_terms(count: int) -> np.ndarray:

@@ -73,6 +73,21 @@ class TestBesselRoots:
         assert np.all(z < (n + 0.5) * PI)
         assert np.all(np.diff(z) > 0.0)
 
+    def test_cache_grows_by_the_roots_it_lacks(self, monkeypatch):
+        asked = []
+
+        def recording(numbers):
+            asked.append(numbers)
+            return solve(numbers)
+
+        solve = eigen._solve_roots
+        monkeypatch.setattr(eigen, "_solve_roots", recording)
+        monkeypatch.setattr(eigen, "_roots_cache", np.empty(0))
+        for n_max in (10, 10**3, 10, 10**5):
+            bessel_roots(n_max)
+        assert asked == [range(1, 11), range(11, 10**3 + 1), range(10**3 + 1, 10**5 + 1)]
+        assert bessel_roots(10**5).tobytes() == solve(range(1, 10**5 + 1)).tobytes()
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_mpmath_bessel_zero(self, n):
         z_mp = float(mpmath.besseljzero(mpmath.mpf(3) / 2, n))
@@ -155,6 +170,42 @@ class TestStep:
     def test_rejects_zero_step(self):
         with pytest.raises(ValueError, match="step"):
             eigenvalues(KernelKind.WIENER, 3, 0)
+
+
+def block_equals_whole(kind, step, first, count, shift=0):
+    """Whether the eigenvalues and eigenfunction rows of a block starting at first + shift
+    equal rows first, first + 1, ... of the whole range, bit for bit."""
+    t = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+    stop = first + count
+    lam = eigenvalues(kind, count, step, first=first + shift)
+    f = eigenfunction_matrix(kind, count, t, step, first=first + shift)
+    return (lam.tobytes() == eigenvalues(kind, stop, step)[first:].tobytes()
+            and f.tobytes() == eigenfunction_matrix(kind, stop, t, step)[first:].tobytes())
+
+
+class TestFirstIndex:
+    """A block of rows from a first index equals those rows of the whole range: first
+    indices of both parities put the detrended odd-step rows' odd/even interleave and
+    their root slice on either phase, around the 2**14-row blocks of the Mercer terms."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("first", [0, 1, 2**14 - 1, 2**14, 2**14 + 1])
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_block_equals_the_same_rows_of_the_whole(self, kind, step, first, count):
+        assert block_equals_whole(kind, step, first, count)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_a_first_index_off_by_one_fails(self, kind, step, shift):
+        assert not block_equals_whole(kind, step, 2**14, 6, shift)
+
+    def test_rejects_negative_first(self):
+        with pytest.raises(ValueError, match="first"):
+            eigenvalues(KernelKind.WIENER, 3, first=-1)
+        with pytest.raises(ValueError, match="first"):
+            eigenfunction_matrix(KernelKind.DETRENDED, 3, [0.5], first=-1)
 
 
 class TestSpectralIdentities:
@@ -255,6 +306,12 @@ class TestEigenfunctions:
         assert np.array_equal(eigen._sinpi(x).view(np.int64), expected)
         assert np.array_equal(eigen._sinpi(x[:, None]).ravel().view(np.int64), expected)
         assert np.signbit(expected.view(float)[x == np.round(x)]).any()
+
+    def test_sinpi_peak_is_two_operands_and_a_mask(self, traced_peak):
+        # The rounded copy and the result, plus one byte a value for the odd mask.
+        x = np.linspace(-1000.0, 1000.0, 10**6)
+        peak, _ = traced_peak(eigen._sinpi, x)
+        assert peak <= 2.13 * x.nbytes
 
     @pytest.mark.parametrize("step", [1, 2, 3])
     @pytest.mark.parametrize("j_max", [1, 2, 7, 1000])

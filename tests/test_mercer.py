@@ -75,6 +75,28 @@ class TestMercerPartial:
             truncated_covariance(KernelKind.WIENER, 1.5, 1.5, 10)
 
 
+class TestBlockedTerms:
+    """mercer_terms fills its array in blocks of series._BLOCK rows."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("j_max", [1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+    def test_equals_the_unblocked_terms(self, kind, j_max):
+        for step in (1, 2):
+            lam = eigen.eigenvalues(kind, j_max, step)
+            for t in (0.0, 0.3, 0.5, 1.0):
+                f = eigen.eigenfunction_matrix(kind, j_max, t, step)[:, 0]
+                assert mercer_terms(kind, t, j_max, step).tobytes() == (f * f / lam).tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_peak_is_the_terms_and_one_block(self, kind, step, traced_peak):
+        # The Bessel root cache lives on between calls, so it is grown first: its 4 MB for
+        # the detrended step 1 are the cache's, not the build's.
+        eigen.bessel_roots(10**6 // 2)
+        peak, terms = traced_peak(mercer_terms, kind, 0.3, 10**6, step)
+        assert peak < 1.25 * terms.nbytes
+
+
 class TestBaselEstimates:
     def test_route1_single_term(self):
         assert basel_estimate(1, 1) == 4.0 / 3.0

@@ -115,11 +115,14 @@ def test_benchmark_tracer_installs(tmp_path):
     # The two oracle runs reach the oracle hooks on each side of the Nystrom
     # solver's choice: the dense Gram at 119 nodes (block 12 is over 1/10 of
     # them), the matrix-free apply at 500.
+    # At J = 40 000 routes 2 and 3 each build their terms in three blocks; the benchmark's
+    # eigen.eigenfunction_matrix.entries adds the blocks' spans, so they must cover 2 J rows.
     path = tmp_path / "spans.json"
     big = tmp_path / "big.csv"
     runs = {
         "series": ("series", "--which", "zeta", "--N", "10"),
         "verify": ("verify", "--proof", "all", "--J", "10", "--format", "json"),
+        "verify-blocks": ("verify", "--proof", "all", "--J", "40000", "--format", "json"),
         "simulate": ("simulate", "--kind", "wiener", "--J", "10", "--M", "16", "--grid-points",
                      "3", "--pairs", "2", "--format", "json",
                      "--out", str(tmp_path / "paths.csv")),
@@ -135,8 +138,10 @@ def test_benchmark_tracer_installs(tmp_path):
         assert result.returncode == 0, result.stderr
         spans[name] = json.loads(path.read_text())
     names = {run: {span["name"] for span in run_spans} for run, run_spans in spans.items()}
-    for run in ("series", "verify", "simulate", "simulate-big"):
+    for run in ("series", "verify", "verify-blocks", "simulate", "simulate-big"):
         assert "series.kahan" in names[run]
+    assert sum(span["entries"] for span in spans["verify-blocks"]
+               if span["name"] == "eigen.eigenfunction_matrix") == 2 * 40000
     assert "simulate.write_ensemble_csv" in names["simulate-big"]
     # One truncated_covariance call per covariance test, summed through _kahan.
     targets = [span for span in spans["simulate-big"]

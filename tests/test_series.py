@@ -184,6 +184,10 @@ class TestAgainstScalarTerms:
         n = 10**5
         assert series._power_terms(s, n).tolist() == [k ** -s for k in range(1, n + 1)]
 
+    def test_triangular_terms_peak_is_the_terms_and_one_block(self, traced_peak):
+        peak, terms = traced_peak(series._triangular_terms, 10**6)
+        assert peak < 1.25 * terms.nbytes
+
     def test_odd_denominator_and_triangular_terms(self):
         n = 10**5
         assert series._triangular_terms(n).tolist() == [2.0 / (k * (k + 1))
