@@ -12,34 +12,39 @@ independent routes to zeta(2) = pi^2/6:
   vanish there identically, so the route takes the odd indices j = 1, 3, ...
   only (no Bessel root), and they rearrange to (1/(2 pi^2)) * sum 1/n^2.
 
-Each route is a row of ``_ROUTES`` (scale, tail constant, term builder), and
-``series._table`` reads its levels from one term array, built up to the
-largest, each level the sum of its own prefix.  Each estimate comes with an
-analytic tail bound that is validated (never assumed) by the test suite.
+Each route is a row of ``_ROUTES`` (scale, tail constant, term fill), and
+``series._table`` walks its levels: it fills the terms one block at a time up
+to the largest level, each row once, and sums every level exactly from the
+blocks' exact parts, so no array of all the terms exists.  Each estimate comes
+with an analytic tail bound that is validated (never assumed) by the test
+suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _filled, _kahan, _power_terms, _require_count, _table
+from .series import _filled, _kahan, _power_fill, _require_count, _table
 
 ZETA2 = PI_SQUARED / 6.0
 
-#: Each route as (scale, tail constant, term builder): the estimate at J terms
+#: Each route as (scale, tail constant, term fill): the estimate at J terms
 #: is scale times the sum of the first J terms, with frozen tail bound
 #: constant / J.  Route 1's constant is the midpoint bound on sum (j - 1/2)^(-2);
 #: routes 2 and 3 reduce to the square-reciprocal tail, bounded by 1/J.
 _ROUTES = {
-    1: (4.0 / 3.0, 1.0 / 3.0, lambda n: _power_terms(2.0, n, 2)),
-    2: (PI_SQUARED / 2.0, 1.0, lambda n: mercer_terms(KernelKind.DEMEANED, 1.0, n, 1)),
-    3: (2.0 * PI_SQUARED, 1.0, lambda n: mercer_terms(KernelKind.DETRENDED, 0.5, n, 2)),
+    1: (4.0 / 3.0, 1.0 / 3.0, lambda block, first: _power_fill(2.0, 2, block, first)),
+    2: (PI_SQUARED / 2.0, 1.0,
+        lambda block, first: _mercer_fill(KernelKind.DEMEANED, 1.0, 1, block, first)),
+    3: (2.0 * PI_SQUARED, 1.0,
+        lambda block, first: _mercer_fill(KernelKind.DETRENDED, 0.5, 2, block, first)),
 }
 
 PROOF_IDS = tuple(_ROUTES)
@@ -56,18 +61,19 @@ def _check_proof(proof: int) -> None:
         raise ValueError(f"proof must be one of {PROOF_IDS}, got {proof}")
 
 
+def _mercer_fill(kind: KernelKind, t: float, step: int, block: np.ndarray, first: int) -> None:
+    """The Mercer terms f_j(t)^2 / lambda_j at entries first, first + 1, ... of the index
+    sequence 1, 1 + step, ..., from the eigenpairs of those indices alone."""
+    f = eigenfunction_matrix(kind, block.size, t, step, first=first)[:, 0]
+    np.multiply(f, f, out=block)
+    block /= eigenvalues(kind, block.size, step, first=first)
+
+
 def mercer_terms(kind: KernelKind, t: float, j_max: int, step: int = 1):
     """The Mercer terms f_j(t)^2 / lambda_j of indices 1, 1 + step, ... (j_max
     of them) as an array, filled block by block (``series._filled``)."""
     _require_count(j_max, "j_max")
-    t = _check_unit(t, "t")
-
-    def fill(block: np.ndarray, first: int) -> None:
-        f = eigenfunction_matrix(kind, block.size, t, step, first=first)[:, 0]
-        np.multiply(f, f, out=block)
-        block /= eigenvalues(kind, block.size, step, first=first)
-
-    return _filled(j_max, fill)
+    return _filled(j_max, partial(_mercer_fill, kind, _check_unit(t, "t"), step))
 
 
 def truncated_covariance(kind: KernelKind, s, t, j_max: int):
@@ -124,17 +130,18 @@ class ConvergenceReport:
 def proof_report(proof: int, j_values: Sequence[int]) -> ConvergenceReport:
     """Convergence report of one route over the given truncation levels.
 
-    Route 1 sums the odd-square reciprocals, built as for
+    Route 1 sums the odd-square reciprocals, filled as for
     ``series.odd_squares_partial``, and scales by 4/3 (the closed form of its
     Mercer sum at t = 1); routes 2 and 3 sum the Mercer terms and rescale,
-    route 3 over the odd indices alone.  The levels are read by
-    ``series._table``: it checks them all before any term is built, builds
-    the route's terms once, up to the largest level, and sums each level's
-    own prefix, so a level is bit-identical to summing it alone.
+    route 3 over the odd indices alone.  The levels are walked by
+    ``series._table``: it checks them all before any term is built, fills
+    each of the route's terms once, block by block up to the largest level,
+    and sums each level exactly, so a level is bit-identical to summing it
+    alone.
     """
     _check_proof(proof)
-    scale, _, build = _ROUTES[proof]
-    estimate = scale * np.array(_table(j_values, build))
+    scale, _, fill = _ROUTES[proof]
+    estimate = scale * np.array(_table(j_values, fill))
     tail_bound = np.array([proof_tail_bound(proof, j) for j in j_values])
     return ConvergenceReport(f"Proof{proof}", tuple(j_values), estimate,
                              np.abs(ZETA2 - estimate), tail_bound)

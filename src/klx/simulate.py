@@ -47,9 +47,10 @@ _MAX_SEED = 2**64
 _MAX_ENTRIES = 2**26
 #: Most pairs one covariance test draws.  It evaluates the eigenfunctions once, on the tested
 #: columns, then per distinct unordered pair (at most U(U+1)/2 for U usable columns) 0.16 ms
-#: of products on 20 000 paths and one J-term sum (Wiener, 11 points, medians of 3-5: 0.13 ms
-#: at J = 2000, 37 ms at 6.6 * 10**5, 0.33 s at 6 * 10**6).  10**4 pairs at J = 2000 on
-#: 20 000 paths took 0.02 s with 11 points, 1.6 s with 101.
+#: of products on 20 000 paths and one exact J-term sum (Wiener, 11 points, medians of 3-5:
+#: 0.13 ms at J = 2000, 37 ms at 6.6 * 10**5; at 6 * 10**6 the sum and its products took
+#: 0.055 s, against 0.16 s through math.fsum).  10**4 pairs at J = 2000 on 20 000 paths took
+#: 0.02 s with 11 points, 1.6 s with 101.
 _MAX_PAIRS = 10**4
 
 

@@ -176,7 +176,8 @@ class TestConvergenceReport:
         def refuse(*args):
             raise AssertionError("terms built for a refused level")
 
-        monkeypatch.setattr(mercer, "mercer_terms", refuse)
+        monkeypatch.setattr(mercer, "_mercer_fill", refuse)
+        monkeypatch.setattr(mercer, "_power_fill", refuse)
         monkeypatch.setattr(mercer, "_kahan", refuse)
         monkeypatch.setattr(series, "_kahan", refuse)
         with pytest.raises(ValueError, match=str(series._MAX_TERMS + 1)):
@@ -184,24 +185,29 @@ class TestConvergenceReport:
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_accepts_level_at_cap(self, proof, monkeypatch):
-        requested, sums = [], []
+        rows, sums = [], []
 
-        def stub_terms(kind, t, n, step):
-            requested.append((n, step))
-            return np.zeros(0)
+        def stub_fill(*args):
+            *_, step, block, first = args
+            rows.append((first, block.size, step))
+            block[:] = 0.0
 
         def stub_sum(terms):
             sums.append(terms)
             return 0.0
 
-        monkeypatch.setattr(mercer, "mercer_terms", stub_terms)
-        monkeypatch.setattr(mercer, "_kahan", stub_sum)
+        monkeypatch.setattr(mercer, "_mercer_fill", stub_fill)
+        monkeypatch.setattr(mercer, "_power_fill", stub_fill)
         monkeypatch.setattr(series, "_kahan", stub_sum)
         report = proof_report(proof, [series._MAX_TERMS])
         assert list(report.j_terms) == [series._MAX_TERMS]
         assert len(sums) == 1
-        # Route 3 asks for J odd-index terms (step 2), not 2J terms of every index.
-        assert requested == ([] if proof == 1 else [(series._MAX_TERMS, 2 if proof == 3 else 1)])
+        # Each of the J rows filled once.  Route 3 fills J odd-index terms (step 2), not 2J
+        # terms of every index; route 1 the odd squares, route 2 every index.
+        assert sorted(first for first, _, _ in rows) == list(
+            range(0, series._MAX_TERMS, series._BLOCK))
+        assert sum(size for _, size, _ in rows) == series._MAX_TERMS
+        assert {step for _, _, step in rows} == {1 if proof == 2 else 2}
 
     @pytest.mark.parametrize("proof", [1, 2, 3])
     def test_levels_match_per_level_sums_in_request_order(self, proof):
@@ -217,17 +223,30 @@ class TestConvergenceReport:
         assert list(report.j_terms) == levels
         assert report.estimate.tolist() == [per_level(j) for j in levels]
 
-    @pytest.mark.parametrize("proof, j_max", [(3, 1000), (2, 1000)])
+    @pytest.mark.parametrize("proof, j_max", [(3, 1000), (2, 1000), (3, 40000), (2, 40000)])
     def test_each_route_builds_its_terms_once(self, proof, j_max, monkeypatch):
         calls = []
+        fill = mercer._mercer_fill
 
-        def counting(kind, t, n, step):
-            calls.append((n, step))
-            return mercer_terms(kind, t, n, step)
+        def counting(kind, t, step, block, first):
+            calls.append((first, block.size, step))
+            fill(kind, t, step, block, first)
 
-        monkeypatch.setattr(mercer, "mercer_terms", counting)
-        proof_report(proof, [10, 1000, 100])
-        assert calls == [(j_max, 2 if proof == 3 else 1)]
+        monkeypatch.setattr(mercer, "_mercer_fill", counting)
+        proof_report(proof, [10, j_max, 100])
+        # Each row filled once, in blocks, last block first.
+        firsts = list(range(0, j_max, series._BLOCK))[::-1]
+        assert [first for first, _, _ in calls] == firsts
+        assert sum(size for _, size, _ in calls) == j_max
+        assert {step for _, _, step in calls} == {2 if proof == 3 else 1}
+
+    @pytest.mark.parametrize("proof", [1, 2, 3])
+    def test_holds_one_block_not_the_terms(self, proof, traced_peak):
+        # 10**6 terms are 8 MB as an array; the walk holds a block, its work buffer and one
+        # block's eigenpair temporaries.
+        peak, report = traced_peak(proof_report, proof, [10**6])
+        assert peak < 2**20
+        assert report.passes()
 
     def test_route3_solves_no_bessel_root(self, monkeypatch):
         def refuse(n_max):

@@ -1,8 +1,9 @@
 """A smoke test of the benchmark tracer, run as its own process, and of
 README's library example; static checks that package modules, scripts and
 tests use what they import, that package modules read every private name
-they bind, that the package exports exactly what it imports, and that only
-the CLI's ``main`` writes a command's output."""
+they bind, that the package exports exactly what it imports, that only
+the CLI's ``main`` writes a command's output, and that only ``series`` sums
+with ``math.fsum``."""
 
 import ast
 import csv
@@ -99,6 +100,21 @@ def finish_path_breaches(source):
                 if name in ("render", "print", "stdout"):
                     found.append((node.name, inner.lineno, name))
     return sorted(found)
+
+
+def fsum_uses(source):
+    """Each use of ``fsum`` in source: a ``.fsum`` attribute, the name ``fsum``, or an
+    import of it under any name, as (line, name)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fsum":
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id == "fsum":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name == "fsum"]
+    return sorted(set(found))
 
 
 def csv_row_count(path):
@@ -203,6 +219,22 @@ def test_finish_path_guard_flags_a_subcommand_that_writes():
     assert finish_path_breaches(source) == [
         ("_cmd_a", 5, "render"), ("_cmd_a", 5, "stdout"), ("_cmd_b", 8, "print"),
         ("_cmd_c", 10, "render")]
+
+
+def test_only_series_sums_with_fsum():
+    # series._kahan is the one sum: fsum rounds the exact parts of its blocks once.  An
+    # fsum over a whole array elsewhere would hold and walk every term again.
+    modules = sorted((ROOT / "src" / "klx").glob("*.py"))
+    found = {p.name: fsum_uses(p.read_text()) for p in modules if p.name != "series.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_fsum_guard_flags_every_use():
+    source = ("import math\nfrom math import fsum as add, pi\nx = math.fsum([pi])\n"
+              "y = add([1.0]) + sum([2.0])\nz = m.fsum\n")
+    assert fsum_uses(source) == [(2, "import fsum"), (3, "math.fsum"), (5, "m.fsum")]
+    assert fsum_uses("from math import fsum\nfsum([1.0])\n") == [(1, "import fsum"),
+                                                                  (2, "fsum")]
 
 
 def test_package_exports_match_imports():

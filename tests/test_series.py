@@ -7,6 +7,7 @@ accumulation path under test.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,11 +41,11 @@ def exact_zeta2_partial(n: int) -> float:
 
 
 def refuse_terms(monkeypatch):
-    """Make building or summing any term array fail the test."""
+    """Make filling or summing any terms fail the test."""
     def refuse(*args):
         raise AssertionError("terms built for a refused level")
 
-    for name in ("_kahan", "_power_terms", "_triangular_terms", "_leibniz_terms"):
+    for name in ("_kahan", "_power_fill", "_triangular_fill", "_leibniz_fill"):
         monkeypatch.setattr(series, name, refuse)
 
 
@@ -133,6 +134,122 @@ class TestSummation:
             assert math.isnan(got) if math.isnan(expected) else got == expected
 
 
+class TestSummationInSmallBlocks:
+    """TestSummation's properties again at seven terms a block, so that inputs span many
+    blocks.  Hypothesis runs a test method for one instance only, so each property draws
+    its examples here, from the same strategies, and calls TestSummation's inner test."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_blocks(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_BLOCK", 7)
+            yield
+
+    @pytest.mark.parametrize("name", [
+        "test_keeps_a_term_that_compensation_loses",
+        "test_prefixes_equal_fsum_of_their_float_lists",
+        "test_nan_and_inf_propagate_as_in_fsum",
+    ])
+    def test_example(self, name):
+        getattr(TestSummation(), name)()
+
+    @pytest.mark.parametrize("xs, error", [
+        ([math.inf, -math.inf], ValueError),
+        ([1e308, 1e308], OverflowError),
+    ])
+    def test_raises_as_fsum_does(self, xs, error):
+        TestSummation().test_raises_as_fsum_does(xs, error)
+
+    @given(st.lists(st.floats(min_value=-1e200, max_value=1e200)))
+    @settings(max_examples=200, deadline=None)
+    def test_correctly_rounded_against_exact_rational_sum(self, xs):
+        TestSummation.test_correctly_rounded_against_exact_rational_sum.hypothesis.inner_test(
+            TestSummation(), xs)
+
+    @given(st.lists(st.one_of(
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    ), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_of_the_float_list_bit_for_bit(self, xs):
+        TestSummation.test_equals_fsum_of_the_float_list_bit_for_bit.hypothesis.inner_test(
+            TestSummation(), xs)
+
+    @pytest.mark.parametrize("where, error", [
+        ({10: math.inf}, None), ({12: math.nan}, None), ({3: math.inf, 15: -math.inf}, ValueError),
+        ({3: math.nan, 15: math.inf}, None), ({0: 1e308, 19: 1e308}, OverflowError),
+    ])
+    def test_non_finite_and_overflow_across_blocks(self, where, error):
+        xs = [1.0] * 20
+        for i, x in where.items():
+            xs[i] = x
+        if error is not None:
+            for sum_of in (math.fsum, lambda xs: _kahan(np.array(xs))):
+                with pytest.raises(error):
+                    sum_of(xs)
+        else:
+            assert repr(_kahan(np.array(xs))) == repr(math.fsum(xs))
+
+
+class TestExtraction:
+    @pytest.mark.parametrize("xs, expected", [
+        ([1e308], 1e308),
+        ([1.7e308, -1.7e308, 1.0], 1.0),
+        ([-0.0, -0.0], 0.0),
+        ([5e-324, 5e-324, -2.5e-323], -1.5e-323),
+    ])
+    def test_near_the_ends_of_the_range(self, xs, expected):
+        assert _kahan(np.array(xs)).hex() == expected.hex() == math.fsum(xs).hex()
+
+    def test_route_terms_take_two_passes(self):
+        terms = 1.0 / np.arange(2**14, 2**15, dtype=float) ** 2
+        p, work = terms.copy(), np.empty(terms.size)
+        parts = series._parts(p, work)
+        assert len(parts) == 2 and not p.any()
+        assert math.fsum(parts) == math.fsum(terms)
+
+    def test_a_rounded_part_fails_the_rational_sum(self, monkeypatch):
+        # Negative control: an extraction whose first part is rounded to float32 breaks
+        # the exact-sum property that TestSummation checks.
+        extract = series._parts
+
+        def rounded(p, work):
+            parts = extract(p, work)
+            return [float(np.float32(parts[0])), *parts[1:]] if parts else parts
+
+        arrays = [np.random.default_rng(seed).standard_normal(50) for seed in range(20)]
+        exact = [float(sum(map(Fraction, a.tolist()))) for a in arrays]
+        assert [_kahan(a) for a in arrays] == exact
+        monkeypatch.setattr(series, "_parts", rounded)
+        assert sum(_kahan(a) != x for a, x in zip(arrays, exact)) >= 15
+
+
+class TestLevelWalker:
+    @pytest.mark.parametrize("block", [7, 2**14])
+    def test_levels_at_block_edges_equal_fsum_of_the_prefix(self, block, monkeypatch):
+        # Terms spanning many binades, cancelling signs and zeros; levels unsorted and
+        # repeated, on both sides of block edges.
+        monkeypatch.setattr(series, "_BLOCK", block)
+        rng = np.random.default_rng(11)
+        terms = rng.standard_normal(3 * block + 2) * 10.0 ** rng.integers(-30, 30, 3 * block + 2)
+        terms[::5] = 0.0
+        levels = [3 * block + 1, block - 1, 2 * block, block, block + 1, 1, block,
+                  2 * block + 1, 2 * block - 1, 3 * block, 3 * block - 1]
+        fills = []
+
+        def fill(out, first):
+            fills.append((first, out.size))
+            out[:] = terms[first:first + out.size]
+
+        sums = series._table(levels, fill)
+        assert [s.hex() for s in sums] == [math.fsum(terms[:n].tolist()).hex() for n in levels]
+        # Each row filled once, last block first.
+        assert fills == sorted(fills, reverse=True)
+        assert [first for first, _ in sorted(fills)] == list(range(0, 3 * block + 1, block))
+        assert sum(size for _, size in fills) == 3 * block + 1
+
+
 class TestLevelCap:
     @pytest.mark.parametrize("partial", [
         lambda n: zeta_partial(2.0, n), triangular_partial, odd_squares_partial, leibniz_partial,
@@ -182,19 +299,35 @@ class TestAgainstScalarTerms:
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 7.3, 50.0, 1.0 + 1e-7])
     def test_zeta_terms(self, s):
         n = 10**5
-        assert series._power_terms(s, n).tolist() == [k ** -s for k in range(1, n + 1)]
+        assert series._filled(n, partial(series._power_fill, s, 1)).tolist() == [
+            k ** -s for k in range(1, n + 1)]
 
     def test_triangular_terms_peak_is_the_terms_and_one_block(self, traced_peak):
-        peak, terms = traced_peak(series._triangular_terms, 10**6)
+        peak, terms = traced_peak(series._filled, 10**6, series._triangular_fill)
         assert peak < 1.25 * terms.nbytes
 
     def test_odd_denominator_and_triangular_terms(self):
+        # 10**5 terms span seven blocks; odd first indices flip the Leibniz signs' phase.
         n = 10**5
-        assert series._triangular_terms(n).tolist() == [2.0 / (k * (k + 1))
-                                                        for k in range(1, n + 1)]
-        assert series._power_terms(2.0, n, 2).tolist() == [(2 * k + 1) ** -2.0 for k in range(n)]
-        assert series._leibniz_terms(n).tolist() == [(1.0 if k % 2 == 0 else -1.0) / (2 * k + 1)
-                                                     for k in range(n)]
+        assert series._filled(n, series._triangular_fill).tolist() == [2.0 / (k * (k + 1))
+                                                               for k in range(1, n + 1)]
+        assert series._filled(n, partial(series._power_fill, 2.0, 2)).tolist() == [
+            (2 * k + 1) ** -2.0 for k in range(n)]
+        assert series._filled(n, series._leibniz_fill).tolist() == [
+            (1.0 if k % 2 == 0 else -1.0) / (2 * k + 1) for k in range(n)]
+        block = np.empty(4)
+        series._leibniz_fill(block, 3)
+        assert block.tolist() == [-1 / 7, 1 / 9, -1 / 11, 1 / 13]
+
+    @pytest.mark.parametrize("sums", [
+        lambda: zeta_partial_table(2.0, [10**6]),
+        lambda: triangular_partial_table([10**6]),
+        lambda: [odd_squares_partial(10**6), leibniz_partial(10**6)],
+    ])
+    def test_sums_hold_one_block_not_the_terms(self, sums, traced_peak):
+        # 10**6 terms are 8 MB as an array; the walker holds a block and its work buffer.
+        peak, _ = traced_peak(sums)
+        assert peak < 2**20
 
 
 class TestTailBounds:
