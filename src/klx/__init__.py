@@ -27,12 +27,11 @@ from .eigen import (
     eigenvalue,
     eigenvalues,
 )
-from .kernels import GramMatrix, KernelKind, gram, kernel_matrix, kernel_value
+from .kernels import GramMatrix, KernelKind, gram, kernel_matrix
 from .mercer import (
     ZETA2,
     ConvergenceReport,
     basel_estimate,
-    mercer_terms,
     proof_report,
     proof_tail_bound,
     truncated_covariance,
@@ -44,7 +43,7 @@ from .nystrom import (
     compare_eigenpairs,
     nystrom_solve,
 )
-from .quadrature import gauss_legendre_01, integrate_01
+from .quadrature import gauss_legendre_01
 from .series import (
     bernoulli_residual,
     estermann_residual,
@@ -97,11 +96,8 @@ __all__ = [
     "estermann_residual",
     "gauss_legendre_01",
     "gram",
-    "integrate_01",
     "kernel_matrix",
-    "kernel_value",
     "leibniz_partial",
-    "mercer_terms",
     "nystrom_solve",
     "odd_squares_partial",
     "proof_report",

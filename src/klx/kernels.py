@@ -87,19 +87,6 @@ def _check_unit(x: float, name: str) -> float:
     return x
 
 
-def kernel_value(kind: KernelKind, s: float, t: float) -> float:
-    """Evaluate the kernel at a single point pair.
-
-    Arguments are canonically ordered before evaluation, so
-    kernel_value(kind, s, t) == kernel_value(kind, t, s) bit for bit.
-    """
-    s = _check_unit(s, "s")
-    t = _check_unit(t, "t")
-    if s > t:
-        s, t = t, s
-    return float(_kernel_array(kind, np.array([s]), np.array([t]))[0, 0])
-
-
 def kernel_matrix(kind: KernelKind, x, y) -> np.ndarray:
     """Kernel evaluated on the grid product x * y, shape (len(x), len(y))."""
     x = np.asarray(x, dtype=float)

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .eigen import PI_SQUARED, eigenfunction_matrix, eigenvalues
 from .kernels import KernelKind, _check_unit
-from .series import _filled, _kahan, _power_fill, _require_count, _table
+from .series import _kahan, _power_fill, _require_count, _table
 
 ZETA2 = PI_SQUARED / 6.0
 
@@ -69,19 +68,12 @@ def _mercer_fill(kind: KernelKind, t: float, step: int, block: np.ndarray, first
     block /= eigenvalues(kind, block.size, step, first=first)
 
 
-def mercer_terms(kind: KernelKind, t: float, j_max: int, step: int = 1):
-    """The Mercer terms f_j(t)^2 / lambda_j of indices 1, 1 + step, ... (j_max
-    of them) as an array, filled block by block (``series._filled``)."""
-    _require_count(j_max, "j_max")
-    return _filled(j_max, partial(_mercer_fill, kind, _check_unit(t, "t"), step))
-
-
 def truncated_covariance(kind: KernelKind, s, t, j_max: int):
     """Truncated expansion covariance sum_{j<=j_max} f_j(s) f_j(t) / lambda_j, the exact
     covariance of a j_max-term expansion: a float for points s and t, an array for equal-length
     1-D sequences paired in order.  Points are checked, then the eigenfunctions are evaluated
     once over the distinct points; each value is the correctly rounded sum of its own terms, so
-    (s, t) and (t, s) agree and s = t gives the partial Mercer sum of mercer_terms.
+    (s, t) and (t, s) agree and s = t gives the partial Mercer sum at t.
     """
     _require_count(j_max, "j_max")
     shape = np.shape(s)

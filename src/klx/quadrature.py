@@ -71,22 +71,3 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     weights.setflags(write=False)
     return nodes, weights
 
-
-def integrate_01(f, n: int = 64, split_at: float | None = None) -> float:
-    """Integrate a vectorized callable over [0, 1].
-
-    With ``split_at`` the interval is split there and each piece gets its own
-    n-point rule; use this when the integrand has a kink (e.g. at s = t for
-    kernels built from min(s, t)).
-    """
-    nodes, weights = gauss_legendre_01(n)
-    if split_at is None:
-        return float(np.dot(weights, f(nodes)))
-    if not 0.0 <= split_at <= 1.0:
-        raise ValueError(f"split point must lie in [0, 1], got {split_at}")
-    total = 0.0
-    for a, b in ((0.0, split_at), (split_at, 1.0)):
-        width = b - a
-        if width > 0.0:
-            total += width * float(np.dot(weights, f(a + width * nodes)))
-    return total

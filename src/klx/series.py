@@ -39,7 +39,7 @@ import numpy as np
 #: ``klx verify`` took 0.73 s at 30.9 MB peak RSS, ``klx series --which zeta`` 0.36 s at
 #: 30.7 MB, about the start-up's footprint.
 _MAX_TERMS = 10**7
-#: Terms per block of ``_kahan``, ``_table`` and ``_filled``: 2**14 float64 are 128 KiB.
+#: Terms per block of ``_kahan`` and ``_table``: 2**14 float64 are 128 KiB.
 _BLOCK = 2**14
 #: Extraction passes per block before the terms left over become parts themselves.  A
 #: block of route terms is exact after two passes, the first block after three.
@@ -110,22 +110,13 @@ def _term_count(n: int) -> int:
     return n + 1
 
 
-def _filled(count: int, fill: _Fill) -> np.ndarray:
-    """A float64 array of count terms, filled one block of ``_BLOCK`` at a time.  Blocks
-    run last to first, so a detrended odd step grows the Bessel root cache once, at its
-    first block."""
-    terms = np.empty(count)
-    for first in reversed(range(0, count, _BLOCK)):
-        fill(terms[first:first + _BLOCK], first)
-    return terms
-
-
 def _sums(n_values: Sequence[int], fill: _Fill) -> list[float]:
     """Sums of the first n terms at each n >= 1 in ``n_values``, in request order.
 
     One buffer takes each block of ``_BLOCK`` terms up to the largest level, last block
-    first as in ``_filled``; each block is split at the levels inside it, each segment
-    keeps its exact parts, and a level's sum is ``_kahan`` of the parts below it.
+    first, so a detrended odd step grows the Bessel root cache once, at its first block;
+    each block is split at the levels inside it, each segment keeps its exact parts, and
+    a level's sum is ``_kahan`` of the parts below it.
     """
     ends = sorted(set(n_values))
     block, work = np.empty((2, min(ends[-1], _BLOCK)))

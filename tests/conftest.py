@@ -2,7 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from klx import series
 
 
 @pytest.fixture
@@ -18,3 +21,17 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def fill_blocks():
+    """fill_blocks(count, fill) -> the first count terms of a series ``fill(block, first)``
+    as an array, each block of ``series._BLOCK`` filled alone, last block first, as the
+    level walker fills them."""
+    def fill_all(count, fill):
+        terms = np.empty(count)
+        for first in reversed(range(0, count, series._BLOCK)):
+            fill(terms[first:first + series._BLOCK], first)
+        return terms
+
+    return fill_all

@@ -73,9 +73,8 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("terms built for a refused level")
 
-        monkeypatch.setattr(klx.mercer, "mercer_terms", refuse)
-        monkeypatch.setattr(klx.mercer, "_kahan", refuse)
-        monkeypatch.setattr(klx.series, "_kahan", refuse)
+        monkeypatch.setattr(klx.mercer, "_power_fill", refuse)
+        monkeypatch.setattr(klx.mercer, "_mercer_fill", refuse)
         code, out, err = run(capsys, "verify", "--proof", "all", "--J", "10,100000000000000")
         assert code == 2
         assert out == ""
@@ -467,10 +466,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("which", sorted(klx.cli._SERIES))
     def test_huge_n_exits_2_before_any_term(self, which, capsys, monkeypatch):
-        def refuse(terms):
-            raise AssertionError("terms summed for a refused level")
+        def refuse(*args):
+            raise AssertionError("terms built for a refused level")
 
-        monkeypatch.setattr(klx.series, "_kahan", refuse)
+        for name in ("_power_fill", "_triangular_fill", "_leibniz_fill"):
+            monkeypatch.setattr(klx.series, name, refuse)
         code, out, err = run(capsys, "series", "--which", which, "--N", "100000000000000")
         assert code == 2
         assert out == ""

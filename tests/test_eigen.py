@@ -21,10 +21,9 @@ from klx import (
     eigenvalue,
     eigenvalues,
     kernel_matrix,
-    kernel_value,
 )
-from klx import eigen
-from klx.quadrature import gauss_legendre_01, integrate_01
+from klx import eigen, kernels
+from klx.quadrature import gauss_legendre_01
 
 ALL_KINDS = list(KernelKind)
 PI = math.pi
@@ -383,27 +382,131 @@ class TestCapitalLambda:
         assert self.squared_peak(j) * math.sin(z) ** 2 / 2.0 == pytest.approx(1.0, abs=1e-12)
 
 
-class TestFredholmConsistency:
-    """Each eigenpair must satisfy f(t) = lambda * int_0^1 k(s, t) f(s) ds.
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = fl(a b) and e with p + e = a b exactly (Dekker's split product)."""
+    def split(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
 
-    The quadrature is split at the kink s = t; away from the kink the
-    integrand is smooth, so 64 nodes per piece are ample for j <= 5.
+    p = a * b
+    (a1, a2), (b1, b2) = split(a), split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+class TestEigenEquation:
+    """Criterion C12: every listed pair solves f = lambda K f, at every index j <= J.
+
+    Each eigenfunction is A sin(omega t + psi) and each kernel is
+    min(s, t) + phi(s)^T C phi(t), so (K f)(t) - f(t)/lambda is in closed form
+    A [f(t)/A (1/omega^2 - 1/lambda) + p(t)] with the cubic
+    p = C m + (-sin psi/omega^2, -cos(omega + psi)/omega, 0, 0) over phi, where
+    m_k = int_0^1 s^k sin(omega s + psi) ds.  So index j is an eigenpair exactly
+    when lambda_j = omega_j^2 and p vanishes; rho_j = omega_j max|p| is its
+    residual.  No quadrature and no grid: omega and psi come from ``_SPECTRA``
+    and ``bessel_roots``, C from ``_COEFFICIENTS``, and sines and cosines of
+    multiples of pi go through ``_sinpi``.  Some C entries are invisible here
+    (demeaned C[0, 0]; detrended C[0, 0] and C[1, 1]): the eigenfunctions are
+    orthogonal to them.
     """
 
+    J = 10**5
+    EPS = np.finfo(float).eps
+
+    def spectrum(self, kind):
+        """lambda, omega, (sin psi, cos psi, sin(omega + psi), cos(omega + psi)),
+        psi and the amplitude A for indices 1..J, and lambda - omega^2."""
+        j = np.arange(1.0, self.J + 1.0)
+        offset, phase = eigen._SPECTRA[kind]
+        lam = eigenvalues(kind, self.J)
+        # omega = (j + offset) pi: (j + offset)^2 is exact, and pi^2 = PI_SQUARED + lo.
+        with mpmath.workdps(40):
+            lo = float(mpmath.pi**2 - eigen.PI_SQUARED)
+        q = (j + offset) ** 2
+        p, e = _two_product(q, np.full(self.J, eigen.PI_SQUARED))
+        gap = ((lam - p) - e) - q * lo
+        omega = (j + offset) * PI
+        psi = np.full(self.J, phase * PI)
+        amplitude = np.full(self.J, eigen.SQRT2)
+        trig = np.array([eigen._sinpi(np.full(self.J, phase)),
+                         eigen._sinpi(np.full(self.J, phase + 0.5)),
+                         eigen._sinpi(j + offset + phase),
+                         eigen._sinpi(j + offset + phase + 0.5)])
+        if kind is KernelKind.DETRENDED:
+            # Even j = 2n: omega = 2 z_n and psi = -z_n, so lambda/4 - z_n^2 is the gap.
+            z = eigen.bessel_roots(self.J // 2)
+            even = slice(1, None, 2)
+            omega[even], psi[even] = 2.0 * z, -z
+            sign = np.where(np.arange(1, z.size + 1) % 2 == 1, 1.0, -1.0)
+            amplitude[even] = sign * eigen.SQRT2 / np.abs(np.sin(z))
+            sin_z, cos_z = np.sin(z), np.cos(z)
+            trig[:, even] = [-sin_z, cos_z, sin_z, cos_z]
+            p, e = _two_product(z, z)
+            gap[even] = (lam[even] / 4.0 - p) - e
+        return lam, omega, trig, psi, amplitude, gap
+
+    def residual(self, kind):
+        """rho_j for j = 1..J."""
+        _, omega, (sin_psi, cos_psi, sin_end, cos_end), *_ = self.spectrum(kind)
+        # m_k = (cos psi [k = 0] - cos(omega + psi))/omega + k c_{k-1}/omega and
+        # c_k = (sin(omega + psi) - sin psi [k = 0])/omega - k m_{k-1}/omega.
+        m = np.empty((4, self.J))
+        m[0] = (cos_psi - cos_end) / omega
+        c = (sin_end - sin_psi) / omega
+        for k in range(1, 4):
+            m[k] = (k * c - cos_end) / omega
+            c = (sin_end - k * m[k - 1]) / omega
+        p = kernels._COEFFICIENTS[kind] @ m
+        p[0] -= sin_psi / omega**2
+        p[1] -= cos_end / omega
+        return omega * np.abs(p).max(axis=0)
+
+    def passes(self, kind) -> bool:
+        return bool((self.residual(kind) <= 4.0 * np.arange(1, self.J + 1) * self.EPS).all())
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_spot_check(self, kind):
-        rng = np.random.default_rng(2024)
-        for j in range(1, 6):
-            lam = eigenvalue(kind, j)
-            for t in rng.random(20):
-                integral = integrate_01(
-                    lambda s, t=t, j=j: kernel_matrix(kind, s, [t])[:, 0]
-                    * eigenfunction_matrix(kind, j, s)[j - 1],
-                    n=64,
-                    split_at=float(t),
-                )
-                f_t = eigenfunction_matrix(kind, j, np.array([t]))[j - 1, 0]
-                assert abs(lam * integral - f_t) <= 1e-8
+    def test_eigenvalue_is_frequency_squared(self, kind):
+        # One ulp at the top of lambda's binade, eps lambda: (j + a)^2 PI_SQUARED rounds
+        # twice, so against lambda's own spacing it may read 1.07 ulps.
+        lam, *_, gap = self.spectrum(kind)
+        assert (np.abs(gap) <= self.EPS * lam).all()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_residual_within_four_j_eps(self, kind):
+        assert self.passes(kind)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_eigenfunctions_are_the_listed_sines(self, kind):
+        # The rounding of omega t + psi, about 3 (j + 1) pi eps/2, bounds the difference.
+        _, omega, _, psi, amplitude, _ = self.spectrum(kind)
+        t = np.array([0.0, 0.1, 0.3, 0.5, 0.77, 1.0])
+        expected = amplitude[:, None] * np.sin(omega[:, None] * t + psi[:, None])
+        error = np.abs(eigenfunction_matrix(kind, self.J, t) - expected).max(axis=1)
+        assert (error <= 8.0 * np.arange(2, self.J + 2) * self.EPS * np.abs(amplitude)).all()
+
+    def test_perturbed_first_root_fails(self, monkeypatch):
+        exact_roots = eigen.bessel_roots
+
+        def perturbed(n_max):
+            z = exact_roots(n_max).copy()
+            z[0] *= 1.0 + 1e-8
+            return z
+
+        monkeypatch.setattr(eigen, "bessel_roots", perturbed)
+        assert self.passes(KernelKind.DETRENDED) is False
+
+    @pytest.mark.parametrize("kind, entry", [
+        (KernelKind.WIENER, (1, 1)),
+        (KernelKind.DEMEANED, (0, 1)),
+        (KernelKind.DETRENDED, (0, 2)),
+        (KernelKind.BRIDGE, (1, 1)),
+    ])
+    def test_perturbed_coefficient_fails(self, kind, entry, monkeypatch):
+        c = kernels._COEFFICIENTS[kind].copy()
+        c[entry] += 1e-8
+        c[entry[::-1]] = c[entry]
+        monkeypatch.setitem(kernels._COEFFICIENTS, kind, c)
+        assert self.passes(kind) is False
 
 
 class TestEigenPair:
@@ -426,6 +529,6 @@ class TestEigenPair:
 class TestDiagonalSpot:
     def test_detrended_diagonal_at_one(self):
         # closed form of the detrended kernel on the diagonal boundary
-        assert kernel_value(KernelKind.DETRENDED, 1.0, 1.0) == pytest.approx(
+        assert kernel_matrix(KernelKind.DETRENDED, [1.0], [1.0])[0, 0] == pytest.approx(
             2.0 / 15.0, abs=1e-15
         )

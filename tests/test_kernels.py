@@ -7,42 +7,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klx import KernelKind, eigenvalues, gram, kernel_matrix, kernel_value
-from klx.quadrature import integrate_01
+from klx import KernelKind, eigenvalues, gram, kernel_matrix
+from klx.quadrature import gauss_legendre_01
 
 ALL_KINDS = list(KernelKind)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def integrate_split(f, t: float, n: int = 64) -> float:
+    """Integral of a vectorized f over [0, 1]: an n-point Gauss-Legendre rule on each side
+    of the kink at t."""
+    nodes, weights = gauss_legendre_01(n)
+    return sum((b - a) * float(np.dot(weights, f(a + (b - a) * nodes)))
+               for a, b in ((0.0, t), (t, 1.0)))
+
+
 class TestPointValues:
     def test_wiener_is_min(self):
-        assert kernel_value(KernelKind.WIENER, 0.3, 0.7) == 0.3
-        assert kernel_value(KernelKind.WIENER, 1.0, 1.0) == 1.0
+        assert kernel_matrix(KernelKind.WIENER, [0.3], [0.7])[0, 0] == 0.3
+        assert kernel_matrix(KernelKind.WIENER, [1.0], [1.0])[0, 0] == 1.0
 
     def test_demeaned_corner_values(self):
-        assert kernel_value(KernelKind.DEMEANED, 1.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert kernel_value(KernelKind.DEMEANED, 0.0, 1.0) == pytest.approx(-1.0 / 6.0, abs=1e-15)
+        assert kernel_matrix(KernelKind.DEMEANED, [1.0], [1.0])[0, 0] == pytest.approx(
+            1.0 / 3.0, abs=1e-15)
+        assert kernel_matrix(KernelKind.DEMEANED, [0.0], [1.0])[0, 0] == pytest.approx(
+            -1.0 / 6.0, abs=1e-15)
 
     def test_detrended_center_value(self):
-        assert kernel_value(KernelKind.DETRENDED, 0.5, 0.5) == pytest.approx(1.0 / 12.0, abs=1e-15)
+        assert kernel_matrix(KernelKind.DETRENDED, [0.5], [0.5])[0, 0] == pytest.approx(
+            1.0 / 12.0, abs=1e-15)
 
     def test_bridge_center_value(self):
-        assert kernel_value(KernelKind.BRIDGE, 0.5, 0.5) == 0.25
+        assert kernel_matrix(KernelKind.BRIDGE, [0.5], [0.5])[0, 0] == 0.25
 
     @given(unit_floats)
     @settings(max_examples=50, deadline=None)
     def test_bridge_pinned_at_endpoints(self, t):
-        assert kernel_value(KernelKind.BRIDGE, t, 1.0) == 0.0
-        assert kernel_value(KernelKind.BRIDGE, t, 0.0) == 0.0
+        assert kernel_matrix(KernelKind.BRIDGE, [t], [1.0])[0, 0] == 0.0
+        assert kernel_matrix(KernelKind.BRIDGE, [t], [0.0])[0, 0] == 0.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            kernel_value(KernelKind.WIENER, -0.1, 0.5)
+            kernel_matrix(KernelKind.WIENER, [-0.1], [0.5])
         with pytest.raises(ValueError):
-            kernel_value(KernelKind.WIENER, 0.5, 1.5)
+            kernel_matrix(KernelKind.WIENER, [0.5], [1.5])
         with pytest.raises(ValueError):
-            kernel_value(KernelKind.WIENER, float("nan"), 0.5)
+            kernel_matrix(KernelKind.WIENER, [float("nan")], [0.5])
 
 
 def exact_kernel(kind: KernelKind, s: float, t: float) -> Fraction:
@@ -74,17 +85,9 @@ class TestExactReference:
         points = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]
         points += [(float(s), float(t)) for s, t in rng.random((1000, 2))]
         bound = Fraction(8, 2**52)
-        worst = max(abs(Fraction(kernel_value(kind, s, t)) - exact_kernel(kind, s, t))
+        worst = max(abs(Fraction(kernel_matrix(kind, [s], [t])[0, 0]) - exact_kernel(kind, s, t))
                     for s, t in points)
         assert worst <= bound
-
-
-class TestSymmetry:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @given(s=unit_floats, t=unit_floats)
-    @settings(max_examples=250, deadline=None)
-    def test_exact_symmetry(self, kind, s, t):
-        assert kernel_value(kind, s, t) == kernel_value(kind, t, s)
 
 
 class TestGram:
@@ -157,25 +160,16 @@ class TestProjectionIdentities:
 
     @pytest.mark.parametrize("t", np.linspace(0.0, 1.0, 20))
     def test_demeaned_integrates_to_zero(self, t):
-        val = integrate_01(
-            lambda s: kernel_matrix(KernelKind.DEMEANED, s, [t])[:, 0],
-            n=64,
-            split_at=float(t),
-        )
+        val = integrate_split(lambda s: kernel_matrix(KernelKind.DEMEANED, s, [t])[:, 0],
+                              float(t))
         assert abs(val) <= 1e-10
 
     @pytest.mark.parametrize("t", np.linspace(0.0, 1.0, 20))
     def test_detrended_kills_constant_and_linear(self, t):
-        constant = integrate_01(
-            lambda s: kernel_matrix(KernelKind.DETRENDED, s, [t])[:, 0],
-            n=64,
-            split_at=float(t),
-        )
-        linear = integrate_01(
-            lambda s: s * kernel_matrix(KernelKind.DETRENDED, s, [t])[:, 0],
-            n=64,
-            split_at=float(t),
-        )
+        constant = integrate_split(lambda s: kernel_matrix(KernelKind.DETRENDED, s, [t])[:, 0],
+                                   float(t))
+        linear = integrate_split(
+            lambda s: s * kernel_matrix(KernelKind.DETRENDED, s, [t])[:, 0], float(t))
         assert abs(constant) <= 1e-10
         assert abs(linear) <= 1e-10
 
@@ -191,7 +185,7 @@ class TestKindParsing:
 
     def test_non_kind_argument_rejected(self):
         with pytest.raises(KeyError, match="wiener"):
-            kernel_value("wiener", 0.2, 0.5)
+            kernel_matrix("wiener", [0.2], [0.5])
         with pytest.raises(KeyError, match="bridge"):
             eigenvalues("bridge", 3)
 

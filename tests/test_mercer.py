@@ -1,6 +1,7 @@
 """Tests for Mercer partial sums and the zeta(2) pipelines."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from klx import (
     KernelKind,
     basel_estimate,
     eigenfunction,
+    eigenfunction_matrix,
     eigenvalue,
-    kernel_value,
-    mercer_terms,
+    eigenvalues,
+    kernel_matrix,
     odd_squares_partial,
     proof_report,
     proof_tail_bound,
@@ -53,7 +55,7 @@ class TestMercerPartial:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_pointwise_convergence_to_diagonal(self, kind, t):
-        diag = kernel_value(kind, t, t)
+        diag = kernel_matrix(kind, [t], [t])[0, 0]
         err_coarse = abs(truncated_covariance(kind, t, t, 1000) - diag)
         err_fine = abs(truncated_covariance(kind, t, t, 10000) - diag)
         assert err_fine <= 1e-3
@@ -64,7 +66,8 @@ class TestMercerPartial:
             assert err_fine < err_coarse
 
     def test_even_detrended_terms_vanish_at_center(self):
-        terms = mercer_terms(KernelKind.DETRENDED, 0.5, 40)
+        f = eigenfunction_matrix(KernelKind.DETRENDED, 40, 0.5)[:, 0]
+        terms = f * f / eigenvalues(KernelKind.DETRENDED, 40)
         assert (np.abs(terms[1::2]) < 1e-28).all()
         assert (terms[0::2] > 0).all()
 
@@ -76,25 +79,18 @@ class TestMercerPartial:
 
 
 class TestBlockedTerms:
-    """mercer_terms fills its array in blocks of series._BLOCK rows."""
+    """``proof_report`` fills the Mercer terms through ``_mercer_fill`` one block of
+    ``series._BLOCK`` rows at a time, each block from its own eigenpairs alone."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("j_max", [1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
-    def test_equals_the_unblocked_terms(self, kind, j_max):
+    def test_equals_the_unblocked_terms(self, kind, j_max, fill_blocks):
         for step in (1, 2):
             lam = eigen.eigenvalues(kind, j_max, step)
             for t in (0.0, 0.3, 0.5, 1.0):
                 f = eigen.eigenfunction_matrix(kind, j_max, t, step)[:, 0]
-                assert mercer_terms(kind, t, j_max, step).tobytes() == (f * f / lam).tobytes()
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("step", [1, 2])
-    def test_peak_is_the_terms_and_one_block(self, kind, step, traced_peak):
-        # The Bessel root cache lives on between calls, so it is grown first: its 4 MB for
-        # the detrended step 1 are the cache's, not the build's.
-        eigen.bessel_roots(10**6 // 2)
-        peak, terms = traced_peak(mercer_terms, kind, 0.3, 10**6, step)
-        assert peak < 1.25 * terms.nbytes
+                blocked = fill_blocks(j_max, partial(mercer._mercer_fill, kind, t, step))
+                assert blocked.tobytes() == (f * f / lam).tobytes()
 
 
 class TestBaselEstimates:
@@ -257,12 +253,12 @@ class TestConvergenceReport:
         report = proof_report(3, [1, 10, 1000, 10**5])
         assert report.passes()
         with pytest.raises(AssertionError, match="Bessel root"):
-            mercer_terms(KernelKind.DETRENDED, 0.5, 2)
+            mercer._mercer_fill(KernelKind.DETRENDED, 0.5, 1, np.empty(2), 0)
 
-    def test_route3_terms_are_the_odd_indices_of_the_full_range(self):
+    def test_route3_terms_are_the_odd_indices_of_the_full_range(self, fill_blocks):
         j_terms = 10**5
-        full = mercer_terms(KernelKind.DETRENDED, 0.5, 2 * j_terms)
-        odd = mercer_terms(KernelKind.DETRENDED, 0.5, j_terms, 2)
+        full = fill_blocks(2 * j_terms, partial(mercer._mercer_fill, KernelKind.DETRENDED, 0.5, 1))
+        odd = fill_blocks(j_terms, partial(mercer._mercer_fill, KernelKind.DETRENDED, 0.5, 2))
         assert odd.tobytes() == full[0::2].tobytes()
         assert (full[1::2] == 0.0).all()
 
@@ -295,8 +291,10 @@ class TestTruncatedCovariance:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("j_max", [1, 7, 1000])
     def test_diagonal_is_the_sum_of_the_mercer_terms(self, kind, j_max):
+        lam = eigenvalues(kind, j_max)
         for t in (0.0, 0.3, 0.5, 1.0):
-            expected = math.fsum(mercer_terms(kind, t, j_max)).hex()
+            f = eigenfunction_matrix(kind, j_max, t)[:, 0]
+            expected = math.fsum(f * f / lam).hex()
             assert truncated_covariance(kind, t, t, j_max).hex() == expected
             assert truncated_covariance(kind, [0.9, t], [0.1, t], j_max)[1].hex() == expected
 
@@ -323,7 +321,8 @@ class TestTruncatedCovariance:
 
     def test_converges_to_kernel(self):
         approx = truncated_covariance(KernelKind.BRIDGE, 0.25, 0.7, 5000)
-        assert approx == pytest.approx(kernel_value(KernelKind.BRIDGE, 0.25, 0.7), abs=1e-3)
+        assert approx == pytest.approx(kernel_matrix(KernelKind.BRIDGE, [0.25], [0.7])[0, 0],
+                                       abs=1e-3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

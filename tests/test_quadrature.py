@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from klx.quadrature import gauss_legendre_01, integrate_01
+from klx.quadrature import gauss_legendre_01
 
 
 def mp_legendre(n, x):
@@ -95,22 +95,10 @@ def test_nodes_inside_and_increasing(n=64):
 
 def test_polynomial_exactness():
     # n-point rule integrates degree 2n-1 exactly; check x^9 with 5 nodes
-    assert integrate_01(lambda x: x**9, n=5) == pytest.approx(0.1, abs=1e-15)
-
-
-def test_split_handles_kink():
-    # |x - 0.4| integrates to 0.4^2/2 + 0.6^2/2 = 0.26
-    val = integrate_01(lambda x: np.abs(x - 0.4), n=16, split_at=0.4)
-    assert val == pytest.approx(0.26, abs=1e-15)
-
-
-def test_split_at_endpoint_degenerates_gracefully():
-    assert integrate_01(lambda x: x, n=8, split_at=0.0) == pytest.approx(0.5, abs=1e-15)
-    assert integrate_01(lambda x: x, n=8, split_at=1.0) == pytest.approx(0.5, abs=1e-15)
+    nodes, weights = gauss_legendre_01(5)
+    assert float(np.dot(weights, nodes**9)) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         gauss_legendre_01(0)
-    with pytest.raises(ValueError):
-        integrate_01(lambda x: x, n=8, split_at=1.5)

@@ -297,23 +297,19 @@ class TestAgainstScalarTerms:
         assert estermann_residual(n - 1) == odd - 2.0 * q * q
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 7.3, 50.0, 1.0 + 1e-7])
-    def test_zeta_terms(self, s):
+    def test_zeta_terms(self, s, fill_blocks):
         n = 10**5
-        assert series._filled(n, partial(series._power_fill, s, 1)).tolist() == [
+        assert fill_blocks(n, partial(series._power_fill, s, 1)).tolist() == [
             k ** -s for k in range(1, n + 1)]
 
-    def test_triangular_terms_peak_is_the_terms_and_one_block(self, traced_peak):
-        peak, terms = traced_peak(series._filled, 10**6, series._triangular_fill)
-        assert peak < 1.25 * terms.nbytes
-
-    def test_odd_denominator_and_triangular_terms(self):
+    def test_odd_denominator_and_triangular_terms(self, fill_blocks):
         # 10**5 terms span seven blocks; odd first indices flip the Leibniz signs' phase.
         n = 10**5
-        assert series._filled(n, series._triangular_fill).tolist() == [2.0 / (k * (k + 1))
-                                                               for k in range(1, n + 1)]
-        assert series._filled(n, partial(series._power_fill, 2.0, 2)).tolist() == [
+        assert fill_blocks(n, series._triangular_fill).tolist() == [2.0 / (k * (k + 1))
+                                                             for k in range(1, n + 1)]
+        assert fill_blocks(n, partial(series._power_fill, 2.0, 2)).tolist() == [
             (2 * k + 1) ** -2.0 for k in range(n)]
-        assert series._filled(n, series._leibniz_fill).tolist() == [
+        assert fill_blocks(n, series._leibniz_fill).tolist() == [
             (1.0 if k % 2 == 0 else -1.0) / (2 * k + 1) for k in range(n)]
         block = np.empty(4)
         series._leibniz_fill(block, 3)

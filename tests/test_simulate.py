@@ -32,7 +32,6 @@ from klx import (
     eigenvalues,
     empirical_covariance,
     gram,
-    mercer_terms,
     read_klx1,
     sample_paths,
     truncated_covariance,
@@ -232,7 +231,8 @@ class TestSampling:
         cfg = config(truncation=2000, n_paths=100_000, grid=np.array([1.0]), seed=7)
         ensemble = sample_paths(cfg)
         squares = ensemble.values[:, 0] ** 2
-        target = math.fsum(mercer_terms(KernelKind.WIENER, 1.0, 2000))
+        f = eigenfunction_matrix(KernelKind.WIENER, 2000, 1.0)[:, 0]
+        target = math.fsum(f * f / eigenvalues(KernelKind.WIENER, 2000))
         assert target == pytest.approx(0.99990, abs=5e-5)
         stderr = squares.std(ddof=1) / np.sqrt(cfg.n_paths)
         assert abs(squares.mean() - target) <= 4.0 * stderr
@@ -245,8 +245,9 @@ class TestEmpiricalCovariance:
         report = covariance_test(ensemble, pair_count=50, z_threshold=4.0)
         at_one = (report.s == 1.0) & (report.t == 1.0)
         assert at_one.any()
+        f = eigenfunction_matrix(KernelKind.WIENER, 500, 1.0)[:, 0]
         assert report.truncated_target[at_one] == pytest.approx(
-            math.fsum(mercer_terms(KernelKind.WIENER, 1.0, 500)), rel=1e-15
+            math.fsum(f * f / eigenvalues(KernelKind.WIENER, 500)), rel=1e-15
         )
         assert (np.abs(report.z_score[at_one]) <= 4.0).all()
         assert (report.stderr[at_one] > 0.0).all()
