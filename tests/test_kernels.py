@@ -8,19 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klx import KernelKind, eigenvalues, gram, kernel_matrix
-from klx.quadrature import gauss_legendre_01
 
 ALL_KINDS = list(KernelKind)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-def integrate_split(f, t: float, n: int = 64) -> float:
-    """Integral of a vectorized f over [0, 1]: an n-point Gauss-Legendre rule on each side
-    of the kink at t."""
-    nodes, weights = gauss_legendre_01(n)
-    return sum((b - a) * float(np.dot(weights, f(a + (b - a) * nodes)))
-               for a, b in ((0.0, t), (t, 1.0)))
 
 
 class TestPointValues:
@@ -159,13 +150,13 @@ class TestProjectionIdentities:
     cubics, so the tolerance can be tight."""
 
     @pytest.mark.parametrize("t", np.linspace(0.0, 1.0, 20))
-    def test_demeaned_integrates_to_zero(self, t):
+    def test_demeaned_integrates_to_zero(self, t, integrate_split):
         val = integrate_split(lambda s: kernel_matrix(KernelKind.DEMEANED, s, [t])[:, 0],
                               float(t))
         assert abs(val) <= 1e-10
 
     @pytest.mark.parametrize("t", np.linspace(0.0, 1.0, 20))
-    def test_detrended_kills_constant_and_linear(self, t):
+    def test_detrended_kills_constant_and_linear(self, t, integrate_split):
         constant = integrate_split(lambda s: kernel_matrix(KernelKind.DETRENDED, s, [t])[:, 0],
                                    float(t))
         linear = integrate_split(

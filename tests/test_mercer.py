@@ -92,6 +92,15 @@ class TestBlockedTerms:
                 blocked = fill_blocks(j_max, partial(mercer._mercer_fill, kind, t, step))
                 assert blocked.tobytes() == (f * f / lam).tobytes()
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_peak_is_the_terms_and_one_block(self, kind, step, traced_peak, fill_blocks):
+        # The Bessel root cache lives on between calls, so it is grown first: its 4 MB for
+        # the detrended step 1 are the cache's, not the fill's.
+        eigen.bessel_roots(10**6 // 2)
+        peak, terms = traced_peak(fill_blocks, 10**6, partial(mercer._mercer_fill, kind, 0.3, step))
+        assert peak < 1.25 * terms.nbytes
+
 
 class TestBaselEstimates:
     def test_route1_single_term(self):

@@ -99,6 +99,17 @@ def test_polynomial_exactness():
     assert float(np.dot(weights, nodes**9)) == pytest.approx(0.1, abs=1e-15)
 
 
+def test_split_handles_kink(integrate_split):
+    # |x - 0.4| integrates to 0.4^2/2 + 0.6^2/2 = 0.26
+    val = integrate_split(lambda x: np.abs(x - 0.4), 0.4, n=16)
+    assert val == pytest.approx(0.26, abs=1e-15)
+
+
+def test_split_at_endpoint_degenerates_gracefully(integrate_split):
+    assert integrate_split(lambda x: x, 0.0, n=8) == pytest.approx(0.5, abs=1e-15)
+    assert integrate_split(lambda x: x, 1.0, n=8) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         gauss_legendre_01(0)

@@ -302,6 +302,10 @@ class TestAgainstScalarTerms:
         assert fill_blocks(n, partial(series._power_fill, s, 1)).tolist() == [
             k ** -s for k in range(1, n + 1)]
 
+    def test_triangular_terms_peak_is_the_terms_and_one_block(self, traced_peak, fill_blocks):
+        peak, terms = traced_peak(fill_blocks, 10**6, series._triangular_fill)
+        assert peak < 1.25 * terms.nbytes
+
     def test_odd_denominator_and_triangular_terms(self, fill_blocks):
         # 10**5 terms span seven blocks; odd first indices flip the Leibniz signs' phase.
         n = 10**5
